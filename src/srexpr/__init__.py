@@ -28,6 +28,7 @@ from .errors import (
     EmptySubgraphError,
     IntegrityError,
     InvalidSizeError,
+    MalformedExpressionError,
     OrderingError,
     RangeError,
     SrexprError,

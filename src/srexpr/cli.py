@@ -5,8 +5,9 @@ table (comparison against the published reference columns), closed-form
 (closed form vs recurrence vs generation), dot (graph export).
 
 Exit codes: 0 success or verification pass, 1 verification or consistency
-failure, 2 usage error.  All output is deterministic for fixed flags; JSON
-payloads carry "schema_version": 1.
+failure, 2 usage or input error (any SrexprError, such as --trials 0 or a
+--prime that is not a prime above 2(n-1)).  All output is deterministic for
+fixed flags; JSON payloads carry "schema_version": 1.
 """
 
 from __future__ import annotations

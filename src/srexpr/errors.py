@@ -39,3 +39,7 @@ class DomainError(SrexprError, ValueError):
 
 class IntegrityError(SrexprError, RuntimeError):
     """An exact computation produced a value that violates a known identity."""
+
+
+class MalformedExpressionError(SrexprError, ValueError):
+    """A serialized expression node that `from_json` cannot read."""

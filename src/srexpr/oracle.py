@@ -7,7 +7,8 @@ Two independent oracles:
   * `check_fingerprint` compares random evaluations of the expression against
     a dynamic program over the graph that computes the same polynomial
     without ever expanding it.  Scales to any n; per-trial false-pass
-    probability is at most deg/prime with deg <= 2(n-1).
+    probability is at most deg/prime with deg <= 2(n-1), and the modulus
+    must be a prime above deg (`is_prime`).
 
 Random assignments come from a seeded split-mix generator (same seed, same
 sequence, on every platform) and exclude 0 so absent literals cannot hide
@@ -21,19 +22,56 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import CapacityError, UnboundLabelError
+from .errors import CapacityError, DomainError, UnboundLabelError
 from .expr import (
     DEFAULT_PRIME,
     EdgeLabel,
     Expr,
     Monomial,
-    evaluate,
+    compile_program,
     expansion_size,
     iter_expansion,
 )
-from .graph import LabeledDigraph, _iter_path_labels, path_count
+from .graph import LabeledDigraph, _iter_path_labels, path_count, path_length_range
 
 _MASK64 = (1 << 64) - 1
+
+# Miller-Rabin with the first thirteen prime bases is exact below this bound
+# (the least composite that passes all thirteen); the first twelve are exact
+# only below 318665857834031151167461.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test.
+
+    Exact for every n below 3.3 * 10**24; larger n raise DomainError rather
+    than get a probabilistic answer.
+    """
+    if n >= _MILLER_RABIN_LIMIT:
+        raise DomainError(
+            f"cannot certify {n} as prime: the test is exact only below {_MILLER_RABIN_LIMIT}"
+        )
+    if n < 2:
+        return False
+    for base in _MILLER_RABIN_BASES:
+        if n % base == 0:
+            return n == base
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class SplitMix64:
@@ -174,15 +212,34 @@ def check_fingerprint(
 ) -> VerificationReport:
     """Randomized identity test of `e` against the path-sum polynomial of `g`.
 
-    Runs `trials` independent rounds.  Each round draws a fresh nonzero
-    assignment for every edge label of `g` (labels in sorted order, from a
-    per-trial generator seeded off the master seed) and compares `evaluate`
-    against `dp_eval`.  The transcript of every round is kept in the report
-    detail, so identical (seed, trials, prime) yield identical reports.
+    Compiles `e` once, then runs `trials` independent rounds.  Each round
+    draws a fresh nonzero assignment for every edge label (labels in sorted
+    order, from a per-trial generator seeded off the master seed) and
+    compares the compiled expression's value against `dp_eval`.  The
+    transcript of every round is kept in the report detail, so identical
+    (seed, trials, prime) yield identical reports.
+
+    An expression that names an edge outside `g` cannot equal the graph's
+    polynomial, so it fails at trial 0.  That trial's values are drawn over
+    the union of the graph's and the expression's labels, in sorted order
+    (the usual draw whenever the expression names only edges of `g`), and
+    the witness is the trial's row plus "label", the first foreign label.
+
+    Raises DomainError unless trials >= 1 and `prime` is a prime greater than
+    the polynomial's degree, the longest path length of `g` (2(n-1) in
+    SR(n)), below which the per-trial false-pass bound is meaningless.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    labels = g.labels()
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    degree = path_length_range(g)[1]
+    if not is_prime(prime):
+        raise DomainError(f"the modulus {prime} is not prime")
+    if prime <= degree:
+        raise DomainError(f"the prime {prime} must exceed the path-polynomial degree {degree}")
+    program = compile_program(e)
+    graph_labels = g.labels()
+    foreign = sorted(set(program.labels).difference(graph_labels))
+    labels = sorted(set(graph_labels).union(program.labels)) if foreign else graph_labels
     master = SplitMix64(seed)
     transcript: list[dict] = []
     witness = None
@@ -190,7 +247,7 @@ def check_fingerprint(
         trial_seed = master.next_u64()
         rng = SplitMix64(trial_seed)
         assignment = {label: rng.field_element(prime) for label in labels}
-        expr_value = evaluate(e, assignment, prime)
+        expr_value = program.run(assignment, prime)
         graph_value = dp_eval(g, assignment, prime)
         row = {
             "trial": trial,
@@ -200,6 +257,9 @@ def check_fingerprint(
             "graph_value": graph_value,
         }
         transcript.append(row)
+        if foreign:
+            witness = {**row, "label": str(foreign[0])}
+            break
         if expr_value != graph_value:
             witness = row
             break

@@ -19,8 +19,10 @@ forms below are the ones validated against the path-sum oracle.  The swapped
 variants are kept (`reference_trap_base_variant`) so the discrepancy report
 can demonstrate the inconsistency.
 
-Generation is a pure function of (n, src, dst, rounding); the memo table
-lives inside a single call, so concurrent calls are independent.
+Generation is a pure function of (n, src, dst, rounding).  Each call to
+`expression` owns its memo (keyed by the two terminals' sort ordinals) and
+its hash-consing table, and drops both when it returns, so concurrent calls
+are independent; only the per-label Lit cache of `make_lit` is shared.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BaseCaseExpectedError, InvalidSizeError, RangeError
-from .expr import Expr, Lit, ONE, make_product, make_sum
+from .expr import ConsTable, Expr, Lit, ONE, make_lit
 from .graph import (
     Family,
     SubgraphKind,
@@ -37,7 +39,6 @@ from .graph import (
     basic,
     classify,
     lower,
-    make_label,
     upper,
 )
 
@@ -51,159 +52,159 @@ class SubExprKey:
 
 
 def _e(i: int) -> Lit:
-    return Lit(make_label("e", i))
+    return make_lit("e", i)
 
 
 def _d(i: int) -> Lit:
-    return Lit(make_label("d", i))
+    return make_lit("d", i)
 
 
 def _a(i: int) -> Lit:
-    return Lit(make_label("a", i))
+    return make_lit("a", i)
 
 
 def _b(i: int) -> Lit:
-    return Lit(make_label("b", i))
+    return make_lit("b", i)
 
 
 def _c(i: int) -> Lit:
-    return Lit(make_label("c", i))
+    return make_lit("c", i)
 
 
-def _sr_size2(p: int) -> Expr:
+def _sr_size2(h: ConsTable, p: int) -> Expr:
     # b_p + e_(2p-1) e_(2p) + d_(2p-1) d_(2p)
-    return make_sum(
+    return h.sum(
         [
             _b(p),
-            make_product([_e(2 * p - 1), _e(2 * p)]),
-            make_product([_d(2 * p - 1), _d(2 * p)]),
+            h.product([_e(2 * p - 1), _e(2 * p)]),
+            h.product([_d(2 * p - 1), _d(2 * p)]),
         ]
     )
 
 
-def _trap_upper_size1(p: int) -> Expr:
+def _trap_upper_size1(h: ConsTable, p: int) -> Expr:
     # c_p + e_(2p) e_(2p+1)
-    return make_sum([_c(p), make_product([_e(2 * p), _e(2 * p + 1)])])
+    return h.sum([_c(p), h.product([_e(2 * p), _e(2 * p + 1)])])
 
 
-def _trap_lower_size1(p: int) -> Expr:
+def _trap_lower_size1(h: ConsTable, p: int) -> Expr:
     # a_p + d_(2p) d_(2p+1)
-    return make_sum([_a(p), make_product([_d(2 * p), _d(2 * p + 1)])])
+    return h.sum([_a(p), h.product([_d(2 * p), _d(2 * p + 1)])])
 
 
-def _sl_basic_upper_size2(p: int) -> Expr:
+def _sl_basic_upper_size2(h: ConsTable, p: int) -> Expr:
     # (b_p + d_(2p-1) d_(2p)) e_(2p+1) + e_(2p-1) (c_p + e_(2p) e_(2p+1))
-    left = make_sum([_b(p), make_product([_d(2 * p - 1), _d(2 * p)])])
-    return make_sum(
+    left = h.sum([_b(p), h.product([_d(2 * p - 1), _d(2 * p)])])
+    return h.sum(
         [
-            make_product([left, _e(2 * p + 1)]),
-            make_product([_e(2 * p - 1), _trap_upper_size1(p)]),
+            h.product([left, _e(2 * p + 1)]),
+            h.product([_e(2 * p - 1), _trap_upper_size1(h, p)]),
         ]
     )
 
 
-def _sl_basic_lower_size2(p: int) -> Expr:
+def _sl_basic_lower_size2(h: ConsTable, p: int) -> Expr:
     # (b_p + e_(2p-1) e_(2p)) d_(2p+1) + d_(2p-1) (a_p + d_(2p) d_(2p+1))
-    left = make_sum([_b(p), make_product([_e(2 * p - 1), _e(2 * p)])])
-    return make_sum(
+    left = h.sum([_b(p), h.product([_e(2 * p - 1), _e(2 * p)])])
+    return h.sum(
         [
-            make_product([left, _d(2 * p + 1)]),
-            make_product([_d(2 * p - 1), _trap_lower_size1(p)]),
+            h.product([left, _d(2 * p + 1)]),
+            h.product([_d(2 * p - 1), _trap_lower_size1(h, p)]),
         ]
     )
 
 
-def _sl_upper_basic_size2(p: int) -> Expr:
+def _sl_upper_basic_size2(h: ConsTable, p: int) -> Expr:
     # (c_p + e_(2p) e_(2p+1)) e_(2p+2) + e_(2p) (b_(p+1) + d_(2p+1) d_(2p+2))
-    right = make_sum([_b(p + 1), make_product([_d(2 * p + 1), _d(2 * p + 2)])])
-    return make_sum(
+    right = h.sum([_b(p + 1), h.product([_d(2 * p + 1), _d(2 * p + 2)])])
+    return h.sum(
         [
-            make_product([_trap_upper_size1(p), _e(2 * p + 2)]),
-            make_product([_e(2 * p), right]),
+            h.product([_trap_upper_size1(h, p), _e(2 * p + 2)]),
+            h.product([_e(2 * p), right]),
         ]
     )
 
 
-def _sl_lower_basic_size2(p: int) -> Expr:
+def _sl_lower_basic_size2(h: ConsTable, p: int) -> Expr:
     # (a_p + d_(2p) d_(2p+1)) d_(2p+2) + d_(2p) (b_(p+1) + e_(2p+1) e_(2p+2))
-    right = make_sum([_b(p + 1), make_product([_e(2 * p + 1), _e(2 * p + 2)])])
-    return make_sum(
+    right = h.sum([_b(p + 1), h.product([_e(2 * p + 1), _e(2 * p + 2)])])
+    return h.sum(
         [
-            make_product([_trap_lower_size1(p), _d(2 * p + 2)]),
-            make_product([_d(2 * p), right]),
+            h.product([_trap_lower_size1(h, p), _d(2 * p + 2)]),
+            h.product([_d(2 * p), right]),
         ]
     )
 
 
-def _trap_upper_size2(p: int) -> Expr:
+def _trap_upper_size2(h: ConsTable, p: int) -> Expr:
     # e_(2p) (b_(p+1) + d_(2p+1) d_(2p+2)) e_(2p+3)
     #   + (c_p + e_(2p) e_(2p+1)) (c_(p+1) + e_(2p+2) e_(2p+3))
-    middle = make_sum([_b(p + 1), make_product([_d(2 * p + 1), _d(2 * p + 2)])])
-    return make_sum(
+    middle = h.sum([_b(p + 1), h.product([_d(2 * p + 1), _d(2 * p + 2)])])
+    return h.sum(
         [
-            make_product([_e(2 * p), middle, _e(2 * p + 3)]),
-            make_product([_trap_upper_size1(p), _trap_upper_size1(p + 1)]),
+            h.product([_e(2 * p), middle, _e(2 * p + 3)]),
+            h.product([_trap_upper_size1(h, p), _trap_upper_size1(h, p + 1)]),
         ]
     )
 
 
-def _trap_lower_size2(p: int) -> Expr:
+def _trap_lower_size2(h: ConsTable, p: int) -> Expr:
     # d_(2p) (b_(p+1) + e_(2p+1) e_(2p+2)) d_(2p+3)
     #   + (a_p + d_(2p) d_(2p+1)) (a_(p+1) + d_(2p+2) d_(2p+3))
-    middle = make_sum([_b(p + 1), make_product([_e(2 * p + 1), _e(2 * p + 2)])])
-    return make_sum(
+    middle = h.sum([_b(p + 1), h.product([_e(2 * p + 1), _e(2 * p + 2)])])
+    return h.sum(
         [
-            make_product([_d(2 * p), middle, _d(2 * p + 3)]),
-            make_product([_trap_lower_size1(p), _trap_lower_size1(p + 1)]),
+            h.product([_d(2 * p), middle, _d(2 * p + 3)]),
+            h.product([_trap_lower_size1(h, p), _trap_lower_size1(h, p + 1)]),
         ]
     )
 
 
-def _para_upper_lower_size2(p: int) -> Expr:
+def _para_upper_lower_size2(h: ConsTable, p: int) -> Expr:
     # e_(2p) (b_(p+1) d_(2p+3) + d_(2p+1) (a_(p+1) + d_(2p+2) d_(2p+3)))
     #   + (c_p + e_(2p) e_(2p+1)) e_(2p+2) d_(2p+3)
-    inner = make_sum(
+    inner = h.sum(
         [
-            make_product([_b(p + 1), _d(2 * p + 3)]),
-            make_product([_d(2 * p + 1), _trap_lower_size1(p + 1)]),
+            h.product([_b(p + 1), _d(2 * p + 3)]),
+            h.product([_d(2 * p + 1), _trap_lower_size1(h, p + 1)]),
         ]
     )
-    return make_sum(
+    return h.sum(
         [
-            make_product([_e(2 * p), inner]),
-            make_product([_trap_upper_size1(p), _e(2 * p + 2), _d(2 * p + 3)]),
+            h.product([_e(2 * p), inner]),
+            h.product([_trap_upper_size1(h, p), _e(2 * p + 2), _d(2 * p + 3)]),
         ]
     )
 
 
-def _para_lower_upper_size2(p: int) -> Expr:
+def _para_lower_upper_size2(h: ConsTable, p: int) -> Expr:
     # d_(2p) (b_(p+1) e_(2p+3) + e_(2p+1) (c_(p+1) + e_(2p+2) e_(2p+3)))
     #   + (a_p + d_(2p) d_(2p+1)) d_(2p+2) e_(2p+3)
-    inner = make_sum(
+    inner = h.sum(
         [
-            make_product([_b(p + 1), _e(2 * p + 3)]),
-            make_product([_e(2 * p + 1), _trap_upper_size1(p + 1)]),
+            h.product([_b(p + 1), _e(2 * p + 3)]),
+            h.product([_e(2 * p + 1), _trap_upper_size1(h, p + 1)]),
         ]
     )
-    return make_sum(
+    return h.sum(
         [
-            make_product([_d(2 * p), inner]),
-            make_product([_trap_lower_size1(p), _d(2 * p + 2), _e(2 * p + 3)]),
+            h.product([_d(2 * p), inner]),
+            h.product([_trap_lower_size1(h, p), _d(2 * p + 2), _e(2 * p + 3)]),
         ]
     )
 
 
 _BASE_BUILDERS = {
-    (Family.SR, 1): lambda p: ONE,
+    (Family.SR, 1): lambda h, p: ONE,
     (Family.SR, 2): _sr_size2,
-    (Family.SL_BASIC_UPPER, 1): lambda p: _e(2 * p - 1),
-    (Family.SL_BASIC_LOWER, 1): lambda p: _d(2 * p - 1),
-    (Family.SL_UPPER_BASIC, 1): lambda p: _e(2 * p),
-    (Family.SL_LOWER_BASIC, 1): lambda p: _d(2 * p),
+    (Family.SL_BASIC_UPPER, 1): lambda h, p: _e(2 * p - 1),
+    (Family.SL_BASIC_LOWER, 1): lambda h, p: _d(2 * p - 1),
+    (Family.SL_UPPER_BASIC, 1): lambda h, p: _e(2 * p),
+    (Family.SL_LOWER_BASIC, 1): lambda h, p: _d(2 * p),
     (Family.TRAP_UPPER_UPPER, 1): _trap_upper_size1,
     (Family.TRAP_LOWER_LOWER, 1): _trap_lower_size1,
-    (Family.PARA_UPPER_LOWER, 1): lambda p: make_product([_e(2 * p), _d(2 * p + 1)]),
-    (Family.PARA_LOWER_UPPER, 1): lambda p: make_product([_d(2 * p), _e(2 * p + 1)]),
+    (Family.PARA_UPPER_LOWER, 1): lambda h, p: h.product([_e(2 * p), _d(2 * p + 1)]),
+    (Family.PARA_LOWER_UPPER, 1): lambda h, p: h.product([_d(2 * p), _e(2 * p + 1)]),
     (Family.SL_BASIC_UPPER, 2): _sl_basic_upper_size2,
     (Family.SL_BASIC_LOWER, 2): _sl_basic_lower_size2,
     (Family.SL_UPPER_BASIC, 2): _sl_upper_basic_size2,
@@ -215,13 +216,16 @@ _BASE_BUILDERS = {
 }
 
 
-def base_expression(key: SubExprKey) -> Expr:
-    """The literal base expression for a size-1 or size-2 subgraph."""
-    kind = classify(key.src, key.dst)
+def _base(h: ConsTable, src: Terminal, dst: Terminal, kind: SubgraphKind) -> Expr:
     builder = _BASE_BUILDERS.get((kind.family, kind.size))
     if builder is None:
-        raise BaseCaseExpectedError(f"{key.src}->{key.dst} (size {kind.size}) is not a base case")
-    return builder(key.src.index)
+        raise BaseCaseExpectedError(f"{src}->{dst} (size {kind.size}) is not a base case")
+    return builder(h, src.index)
+
+
+def base_expression(key: SubExprKey) -> Expr:
+    """The literal base expression for a size-1 or size-2 subgraph."""
+    return _base(ConsTable(), key.src, key.dst, classify(key.src, key.dst))
 
 
 def reference_trap_base_variant(key: SubExprKey) -> Expr:
@@ -236,18 +240,19 @@ def reference_trap_base_variant(key: SubExprKey) -> Expr:
     if kind.size != 2 or not kind.is_trapezoidal:
         raise ValueError(f"{key.src}->{key.dst} is not a size-2 trapezoid")
     p = key.src.index
+    h = ConsTable()
     middle = (
-        make_sum([_b(p + 1), make_product([_d(2 * p + 1), _d(2 * p + 2)])])
+        h.sum([_b(p + 1), h.product([_d(2 * p + 1), _d(2 * p + 2)])])
         if kind.family is Family.TRAP_UPPER_UPPER
-        else make_sum([_b(p + 1), make_product([_e(2 * p + 1), _e(2 * p + 2)])])
+        else h.sum([_b(p + 1), h.product([_e(2 * p + 1), _e(2 * p + 2)])])
     )
     if kind.family is Family.TRAP_UPPER_UPPER:
-        first = make_product([_e(2 * p), middle, _e(2 * p + 3)])
-        second = make_product([_trap_lower_size1(p), _trap_lower_size1(p + 1)])
+        first = h.product([_e(2 * p), middle, _e(2 * p + 3)])
+        second = h.product([_trap_lower_size1(h, p), _trap_lower_size1(h, p + 1)])
     else:
-        first = make_product([_d(2 * p), middle, _d(2 * p + 3)])
-        second = make_product([_trap_upper_size1(p), _trap_upper_size1(p + 1)])
-    return make_sum([first, second])
+        first = h.product([_d(2 * p), middle, _d(2 * p + 3)])
+        second = h.product([_trap_upper_size1(h, p), _trap_upper_size1(h, p + 1)])
+    return h.sum([first, second])
 
 
 def choose_split(kind: SubgraphKind, p: int, q: int, rounding: str = "ceil") -> int:
@@ -284,47 +289,65 @@ def _validate_key(n: int, key: SubExprKey) -> None:
     classify(key.src, key.dst)  # raises OrderingError for an empty span
 
 
+def _build(
+    src: Terminal,
+    dst: Terminal,
+    rounding: str,
+    memo: dict[tuple[int, int], Expr] | None,
+    h: ConsTable,
+) -> Expr:
+    """E(src, dst), by base case or midpoint split.
+
+    A module-level function rather than a closure inside `expression`: a
+    closure that calls itself is a reference cycle, which would keep the memo
+    and the cons table alive until the next full garbage collection.
+    """
+    if memo is not None:
+        memo_key = (src.sort_ordinal, dst.sort_ordinal)
+        hit = memo.get(memo_key)
+        if hit is not None:
+            return hit
+    kind = classify(src, dst)
+    if kind.size <= 2:
+        result = _base(h, src, dst, kind)
+    else:
+        i = choose_split(kind, src.index, dst.index, rounding)
+        result = h.sum(
+            [
+                h.product(
+                    [
+                        _build(src, basic(i), rounding, memo, h),
+                        _build(basic(i), dst, rounding, memo, h),
+                    ]
+                ),
+                h.product(
+                    [
+                        _build(src, upper(i - 1), rounding, memo, h),
+                        _c(i - 1),
+                        _build(upper(i), dst, rounding, memo, h),
+                    ]
+                ),
+                h.product(
+                    [
+                        _build(src, lower(i - 1), rounding, memo, h),
+                        _a(i - 1),
+                        _build(lower(i), dst, rounding, memo, h),
+                    ]
+                ),
+            ]
+        )
+    if memo is not None:
+        memo[memo_key] = result
+    return result
+
+
 def expression(n: int, key: SubExprKey, rounding: str = "ceil", memoize: bool = True) -> Expr:
     """Factored expression for the subgraph of SR(n) between key.src and key.dst."""
     if n < 1:
         raise InvalidSizeError(f"square rhomboid size must be >= 1, got {n}")
     _validate_key(n, key)
-    memo: dict[SubExprKey, Expr] | None = {} if memoize else None
-
-    def build(k: SubExprKey) -> Expr:
-        if memo is not None:
-            hit = memo.get(k)
-            if hit is not None:
-                return hit
-        kind = classify(k.src, k.dst)
-        if kind.size <= 2:
-            result = base_expression(k)
-        else:
-            i = choose_split(kind, k.src.index, k.dst.index, rounding)
-            result = make_sum(
-                [
-                    make_product([build(SubExprKey(k.src, basic(i))), build(SubExprKey(basic(i), k.dst))]),
-                    make_product(
-                        [
-                            build(SubExprKey(k.src, upper(i - 1))),
-                            _c(i - 1),
-                            build(SubExprKey(upper(i), k.dst)),
-                        ]
-                    ),
-                    make_product(
-                        [
-                            build(SubExprKey(k.src, lower(i - 1))),
-                            _a(i - 1),
-                            build(SubExprKey(lower(i), k.dst)),
-                        ]
-                    ),
-                ]
-            )
-        if memo is not None:
-            memo[k] = result
-        return result
-
-    return build(key)
+    memo: dict[tuple[int, int], Expr] | None = {} if memoize else None
+    return _build(key.src, key.dst, rounding, memo, ConsTable())
 
 
 def generate(n: int, rounding: str = "ceil", memoize: bool = True) -> Expr:

@@ -94,6 +94,22 @@ class TestVerify:
         assert code == 2
         assert "limit" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--trials", "0"), "trials must be >= 1"),
+            (("--prime", "1"), "not prime"),
+            (("--prime", "4"), "not prime"),
+            (("--prime", "13"), "degree 14"),  # prime, but not above 2(n-1) = 14
+            (("--prime", "3317044064679887385961981"), "exact only below"),
+        ],
+    )
+    def test_bad_fingerprint_parameters_exit_2(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify", "8", "--mode", "fingerprint", *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         broken = make_sum(
             [make_product([lit("e1"), lit("e2")]), make_product([lit("d1"), lit("d2")])]

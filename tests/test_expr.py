@@ -11,11 +11,13 @@ from srexpr import (
     EMPTY_MONOMIAL,
     EdgeLabel,
     Lit,
+    MalformedExpressionError,
     Monomial,
     ONE,
     Prod,
     Sum,
     UnboundLabelError,
+    build_sr,
     evaluate,
     expand,
     expansion_size,
@@ -28,6 +30,7 @@ from srexpr import (
     to_json,
     to_text,
 )
+from srexpr.expr import compile_program
 
 
 def sr2_expr(p=1):
@@ -157,6 +160,19 @@ class TestEvaluate:
         with pytest.raises(UnboundLabelError):
             evaluate(sr2_expr(), {EdgeLabel("b", 1): 2})
 
+    def test_nodes_built_without_smart_constructors(self):
+        assignment = {EdgeLabel("b", 1): 5}
+        assert evaluate(Sum((lit("b1"),)), assignment) == 5
+        assert evaluate(Sum(()), assignment) == 0
+        assert evaluate(Prod(()), assignment) == 1
+        assert evaluate(Sum((ONE, lit("b1"))), assignment) == 6
+
+    def test_program_has_one_slot_per_distinct_label_and_node(self):
+        program = compile_program(generate(64))
+        assert sorted(program.labels) == list(build_sr(64).labels())
+        inner = 2256 - len(program.labels)  # distinct nodes minus one Lit per label
+        assert len(program.children) == len(program.is_product) == inner
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_expansion(self, n):
         # evaluation must agree with sum-of-products over the expansion
@@ -228,8 +244,20 @@ class TestJson:
         assert from_json(json.loads(json.dumps(to_json(e)))) == e
 
     def test_malformed_rejected(self):
-        for obj in ({}, {"lit": "x9"}, {"one": False}, {"mul": []}, {"lit": "b1", "one": True}):
-            with pytest.raises(ValueError):
+        malformed = (
+            {},
+            {"lit": "x9"},
+            {"one": False},
+            {"mul": []},
+            {"lit": "b1", "one": True},
+            {"lit": 5},
+            {"sum": 3},
+            {"sum": []},
+            {"prod": "ab"},
+            {"prod": [{"lit": "b1"}, {"lit": None}]},
+        )
+        for obj in malformed:
+            with pytest.raises(MalformedExpressionError):
                 from_json(obj)
 
 

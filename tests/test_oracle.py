@@ -1,27 +1,36 @@
 """Oracle tests: DP evaluation, exact check, fingerprint check, determinism."""
 
+import hashlib
 import json
+import math
 
 import pytest
 
 from srexpr import (
     CapacityError,
     DEFAULT_PRIME,
+    DomainError,
     EdgeLabel,
     ONE,
     SplitMix64,
+    SubExprKey,
     UnboundLabelError,
     build_sr,
     check_exact,
     check_fingerprint,
     dp_eval,
     generate,
+    induced_subgraph,
     lit,
+    lower,
     make_product,
     make_sum,
     path_count,
     path_length_range,
+    reference_trap_base_variant,
+    upper,
 )
+from srexpr.oracle import is_prime
 
 # Standard first outputs of the split-mix construction.
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -153,6 +162,44 @@ class TestCheckFingerprint:
         with pytest.raises(ValueError):
             check_fingerprint(ONE, build_sr(1), trials=0)
 
+    @pytest.mark.parametrize("prime", [1, 4, (1 << 61) + 1, 13])
+    def test_modulus_must_be_a_prime_above_the_degree(self, prime):
+        # SR(8) has degree 14; 2**61 + 1 is divisible by 3
+        with pytest.raises(DomainError):
+            check_fingerprint(generate(8), build_sr(8), prime=prime)
+
+    def test_smallest_admissible_prime(self):
+        assert check_fingerprint(generate(8), build_sr(8), prime=17).passed
+
+    @pytest.mark.parametrize(
+        "src, dst, foreign",
+        [(upper(1), upper(3), "a1"), (lower(1), lower(3), "c1")],
+    )
+    def test_foreign_label_fails_at_trial_zero(self, src, dst, foreign):
+        # the letter-swapped trapezoid bases name edges outside their subgraph
+        e = reference_trap_base_variant(SubExprKey(src, dst))
+        g = induced_subgraph(build_sr(4), src, dst)
+        report = check_fingerprint(e, g, trials=10, seed=7)
+        assert report.result == "fail"
+        assert report.detail["transcript"] == [
+            {key: value for key, value in report.witness.items() if key != "label"}
+        ]
+        assert report.witness["trial"] == 0
+        assert report.witness["label"] == foreign
+
+    @pytest.mark.parametrize(
+        "n, seed, trials, digest",
+        [
+            (16, 9, 5, "b690983c7ec547dc463ee1cbfa855acc71d28f75c19b0cd00ffa6aed7b117094"),
+            (100, 42, 10, "d5fe1233ec7554faa0694c6e3dfabaffd1378ceae9504fafe01254820e4edb54"),
+        ],
+    )
+    def test_transcripts_match_recorded_digests(self, n, seed, trials, digest):
+        # recorded with the recursive evaluator that compiled evaluation replaced
+        report = check_fingerprint(generate(n), build_sr(n), trials=trials, seed=seed)
+        payload = json.dumps(report.detail, sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest() == digest
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_agrees_with_exact(self, n):
         e, g = generate(n), build_sr(n)
@@ -170,6 +217,27 @@ class TestCheckFingerprint:
         for n in (2, 16, 128):
             assert path_length_range(build_sr(n))[1] == 2 * (n - 1)
         assert DEFAULT_PRIME > 2 * 127
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def by_division(n):
+            return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(3000) if is_prime(n)] == [n for n in range(3000) if by_division(n)]
+
+    def test_large_primes_and_strong_pseudoprimes(self):
+        assert is_prime(DEFAULT_PRIME)
+        assert is_prime(1_000_000_007)
+        assert not is_prime(998_244_353 * 1_000_000_007)
+        # strong pseudoprime to bases 2, 3, 5 and 7
+        assert not is_prime(3_215_031_751)
+        # strong pseudoprime to every prime base up to 37; base 41 exposes it
+        assert not is_prime(318_665_857_834_031_151_167_461)
+
+    def test_beyond_the_exact_range_is_rejected(self):
+        with pytest.raises(DomainError):
+            is_prime(3_317_044_064_679_887_385_961_981)
 
 
 class TestReportJson:

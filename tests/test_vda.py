@@ -1,11 +1,15 @@
 """Generator tests: base relations, splits, golden expressions, soundness."""
 
+import sys
+import threading
 from collections import Counter
 
 import pytest
 
 from srexpr import (
     BaseCaseExpectedError,
+    Lit,
+    One,
     RangeError,
     SubExprKey,
     base_expression,
@@ -260,3 +264,60 @@ class TestDipterousCountEquality:
         trapezoid = literal_count(expression(3, SubExprKey(upper(1), upper(2))))
         parallelogram = literal_count(expression(3, SubExprKey(upper(1), lower(2))))
         assert (trapezoid, parallelogram) == (3, 2)
+
+
+def distinct_nodes(e):
+    """Every node reachable from `e`, once per object."""
+    seen = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, "children", ()))
+    return list(seen.values())
+
+
+class TestHashConsing:
+    @pytest.mark.parametrize("n, nodes", [(16, 432), (64, 2256), (256, 9840)])
+    def test_distinct_node_count(self, n, nodes):
+        assert len(distinct_nodes(generate(n))) == nodes
+
+    def test_no_two_nodes_share_type_and_children(self):
+        keys = set()
+        for node in distinct_nodes(generate(256)):
+            if isinstance(node, Lit):
+                key = (Lit, node.label)
+            elif isinstance(node, One):
+                key = (One,)
+            else:
+                key = (type(node), tuple(map(id, node.children)))
+            assert key not in keys, key
+            keys.add(key)
+
+    def test_concurrent_calls_match_sequential(self):
+        keys = [
+            SubExprKey(basic(1), basic(64)),
+            SubExprKey(upper(3), lower(50)),
+            SubExprKey(lower(2), lower(60)),
+            SubExprKey(basic(5), upper(40)),
+        ]
+        expected = [to_text(expression(64, key)) for key in keys]
+        results = {}
+
+        def work(slot, key):
+            results[slot] = to_text(expression(64, key))
+
+        jobs = [(slot, key) for slot, key in enumerate(keys + keys)]
+        threads = [threading.Thread(target=work, args=job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [results[slot] for slot, _ in jobs] == expected + expected
