@@ -6,8 +6,9 @@ table (comparison against the published reference columns), closed-form
 
 Exit codes: 0 success or verification pass, 1 verification or consistency
 failure, 2 usage or input error (any SrexprError, such as --trials 0 or a
---prime that is not a prime above 2(n-1)).  All output is deterministic for
-fixed flags; JSON payloads carry "schema_version": 1.
+--prime that is not a prime above 2(n-1)), 3 an unexpected internal error,
+with its traceback on stderr.  All output is deterministic for fixed flags;
+JSON payloads carry "schema_version": 1.
 """
 
 from __future__ import annotations
@@ -20,11 +21,14 @@ from dataclasses import dataclass
 from . import complexity
 from . import vda
 from .errors import SrexprError
-from .expr import DEFAULT_PRIME, literal_count, to_json, to_text
+from .expr import DEFAULT_PRIME, literal_count, to_json_text, to_text
 from .graph import Terminal, build_sr, induced_subgraph, to_dot
-from .oracle import check_exact, check_fingerprint
+from .oracle import check_exact, check_fingerprint, check_fingerprint_parameters
 
 SCHEMA_VERSION = 1
+# The JSON AST is re-indented and written this many characters at a time, so
+# no second copy of the whole text is ever held.
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.sub is not None:
             payload["source"] = str(src)
             payload["sink"] = str(dst)
-        if not args.count_only:
+        if args.count_only:
+            _emit_json(payload)
+        else:
+            # The AST goes in last, spliced into the payload's text rather
+            # than built as a dict tree: the layout is json.dumps(indent=2).
             payload["expression"] = to_text(expr, separator)
-            payload["ast"] = to_json(expr)
-        _emit_json(payload)
+            head = json.dumps(payload, indent=2)
+            sys.stdout.write(head[: -len("\n}")])
+            sys.stdout.write(',\n  "ast": ')
+            ast_text = to_json_text(expr)
+            for start in range(0, len(ast_text), _CHUNK):
+                sys.stdout.write(ast_text[start : start + _CHUNK].replace("\n", "\n  "))
+            sys.stdout.write("\n}\n")
     elif args.count_only:
         print(count)
     else:
@@ -92,6 +105,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.mode == "fingerprint":
+        # The longest path of SR(n) has 2(n-1) edges; reject bad flags before
+        # paying for the graph and the expression.
+        check_fingerprint_parameters(args.trials, args.prime, 2 * (args.n - 1))
     graph = build_sr(args.n)
     expr = vda.generate(args.n, rounding=args.rounding)
     if args.mode == "exact":
@@ -253,6 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     except SrexprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only a crash needs it; every run would pay the import
+
+        traceback.print_exc()
+        return 3
 
 
 def run() -> None:

@@ -1,26 +1,17 @@
 """Expression ASTs over edge-label literals.
 
-Expressions are sums and products of literals, plus the formal unit One used
-for the empty subgraph.  Nodes are immutable; the smart constructors
-`make_sum` / `make_product` normalize on the way in:
+Sums and products of literals, plus the unit One of the empty subgraph.
+Nodes are immutable; `make_sum` / `make_product` flatten nested nodes of the
+same type, drop One from products and collapse single children, so every
+Sum/Prod has two or more children and printed text is one-to-one with ASTs.
 
-  * nested sums/products of the same type are flattened,
-  * One is dropped from products (an empty product collapses to One),
-  * single-child nodes collapse to the child.
+Construction is hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): one Lit per label (`make_lit`), one node per (type,
+flattened children) in a `ConsTable`.  Literals are counted per occurrence.
 
-After normalization every Sum/Prod has at least two children and printed text
-is in one-to-one correspondence with the AST.
-
-Construction within one generation is hash-consed (Filliatre & Conchon,
-"Type-safe modular hash-consing", 2006): `make_lit` hands out one Lit per
-edge label, and a `ConsTable` returns the node it already built whenever a
-sum or product of the same type over the same (flattened) children is asked
-for again, so structurally equal subterms are one object.  Literal counting
-is still by tree occurrence, so counts are unaffected by that sharing.
-
-Evaluation compiles an expression once into a `Program` (its distinct nodes
-in post-order, children addressed by slot index) and runs a flat loop per
-assignment.
+`compile_program` lowers an expression to a `Program`, a table of its
+distinct nodes.  Evaluation is a flat loop over it; `to_text` and
+`to_json_text` render each distinct node once over it.
 """
 
 from __future__ import annotations
@@ -54,7 +45,7 @@ class Lit(Expr):
 
 @dataclass(frozen=True, slots=True)
 class One(Expr):
-    """The formal unit: the expression of a single-vertex subgraph."""
+    """The unit: the expression of a one-vertex subgraph."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,7 +80,7 @@ def _factors(children: Iterable[Expr]) -> list[Expr]:
             flat.extend(child.children)
         elif not isinstance(child, One):
             flat.append(child)
-    return flat
+    return flat or [ONE]  # an empty product is the unit
 
 
 def make_sum(children: Iterable[Expr]) -> Expr:
@@ -101,20 +92,13 @@ def make_sum(children: Iterable[Expr]) -> Expr:
 def make_product(children: Iterable[Expr]) -> Expr:
     """Normalized n-ary product: flattens nested products and drops units."""
     flat = _factors(children)
-    if not flat:
-        return ONE
     return flat[0] if len(flat) == 1 else Prod(tuple(flat))
 
 
 class ConsTable:
-    """Hash-consing versions of `make_sum` and `make_product`.
-
-    After the same normalization, a sum or product whose type and children
-    (compared by identity) match a node already built through this table is
-    that node.  Keys hold child ids; they stay valid because the table keeps
-    every node it built, and so every child, alive.  A table belongs to one
-    construction and is dropped with it.
-    """
+    """Hash-consing `make_sum` and `make_product`: a sum or product of a type
+    and (identical) children already built here is that node.  The child ids
+    in the keys stay valid: the table keeps its nodes alive."""
 
     __slots__ = ("_nodes",)
 
@@ -127,8 +111,6 @@ class ConsTable:
 
     def product(self, children: Iterable[Expr]) -> Expr:
         flat = _factors(children)
-        if not flat:
-            return ONE
         return flat[0] if len(flat) == 1 else self._intern(Prod, flat)
 
     def _intern(self, cls: type, flat: list[Expr]) -> Expr:
@@ -141,8 +123,7 @@ class ConsTable:
 
 @lru_cache(maxsize=None)
 def make_lit(letter: str, index: int) -> Lit:
-    """Interned literal: one Lit object per edge label, as `make_label` does
-    for the labels themselves."""
+    """Interned literal: one Lit per edge label."""
     return Lit(make_label(letter, index))
 
 
@@ -154,11 +135,9 @@ def lit(text: str) -> Lit:
 
 @dataclass(frozen=True, order=True)
 class Monomial:
-    """A canonically sorted sequence of edge labels; one per graph path.
-
-    The label tuple must already be sorted by (letter, index); use `of` to
-    sort arbitrary input.  Paths never repeat an edge, so monomials of graph
-    expressions are squarefree, but the type itself allows repeats.
+    """A sequence of edge labels sorted by (letter, index); one per graph
+    path.  `of` sorts arbitrary input.  Graph monomials are squarefree (paths
+    never repeat an edge), but the type allows repeats.
     """
 
     labels: tuple[EdgeLabel, ...]
@@ -175,11 +154,8 @@ EMPTY_MONOMIAL = Monomial(())
 
 
 def literal_count(e: Expr) -> int:
-    """Total number of literal occurrences, counted over the expression tree.
-
-    Shared subterms are counted once per occurrence (the count is what you
-    would get by writing the expression out in full).
-    """
+    """Literal occurrences in `e` written out in full (a shared subterm
+    counts once per occurrence)."""
     memo: dict[int, int] = {}
 
     def count(node: Expr) -> int:
@@ -223,12 +199,9 @@ def expansion_size(e: Expr) -> int:
 
 
 def iter_expansion(e: Expr) -> Iterator[Monomial]:
-    """Stream the distributive expansion of `e`, one monomial at a time.
-
-    Sums stream their addends; products materialize each factor's expansion
-    (memoized across shared subterms) and stream the merged combinations, so
-    peak memory is bounded by the factor expansions, not the output.
-    """
+    """Stream the distributive expansion of `e`, one monomial at a time; a
+    factor's expansion is listed once per shared subterm, so memory is bounded
+    by the factor expansions, not by the output."""
     memo: dict[int, list[Monomial]] = {}
 
     def listed(node: Expr) -> list[Monomial]:
@@ -260,11 +233,8 @@ def iter_expansion(e: Expr) -> Iterator[Monomial]:
 
 
 def expand(e: Expr, limit: int = 10**6) -> list[Monomial]:
-    """Full distributive expansion as a list of monomials.
-
-    Raises CapacityError if the expansion would exceed `limit` monomials
-    (checked before any monomial is built).
-    """
+    """Full distributive expansion as a list of monomials; CapacityError,
+    before building any, past `limit` monomials."""
     size = expansion_size(e)
     if size > limit:
         raise CapacityError(f"expansion of {size} monomials exceeds the limit {limit}")
@@ -272,19 +242,13 @@ def expand(e: Expr, limit: int = 10**6) -> list[Monomial]:
 
 
 class Program:
-    """An expression compiled for evaluation at many points.
+    """An expression as a table of slots, one per distinct node.
 
-    A run fills one list of values.  Slot k >= 0 holds the k-th distinct sum
-    or product node in post-order, so every child's slot is filled before its
-    parent's: the product (if is_product[k]) or the sum of the values in the
-    slots children[k].  Leaves are addressed from the end of the list: slot
-    -1 holds the unit and slot -(j + 2) the value of labels[j], so one pass
-    over the expression fixes every slot.  The expression's value is in slot
-    `root`.
-
-    A plain class, not a dataclass: building a dataclass costs about a
-    millisecond at import, which every command-line run would pay.
-    """
+    Slot k >= 0 is the k-th distinct sum or product in post-order (a product
+    if is_product[k]) over the slots children[k], so children come before
+    parents.  Leaves count from the end: slot -1 is the unit and -(j + 2)
+    labels[j].  The expression is slot `root`.  Not a dataclass: that costs
+    every CLI run 1 ms at import."""
 
     __slots__ = ("labels", "is_product", "children", "root")
 
@@ -318,8 +282,8 @@ class Program:
 
 
 def compile_program(e: Expr) -> Program:
-    """Lower `e` to a Program: one slot per distinct label and per distinct
-    (by identity) sum or product node."""
+    """Lower `e` to a Program: a slot per distinct label and per distinct (by
+    identity) sum or product."""
     label_slots: dict[EdgeLabel, int] = {}
     slot_of: dict[int, int] = {}
     is_product = bytearray()
@@ -345,34 +309,67 @@ def compile_program(e: Expr) -> Program:
 
 
 def evaluate(e: Expr, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME) -> int:
-    """Value of the expression over the integers modulo `prime`.
-
-    Every label occurring in `e` must be present in `assignment`; a missing
-    label raises UnboundLabelError.  To evaluate one expression at many
-    points, compile it once with `compile_program` and call `Program.run`.
-    """
+    """Value of `e` modulo `prime`; a label missing from `assignment` raises
+    UnboundLabelError.  For many points, use `compile_program(e).run`."""
     return compile_program(e).run(assignment, prime)
+
+
+def _fold(program: Program, leaf, node):
+    """The root's value: `leaf(label)` (None for the unit) at the leaves,
+    `node(k, values)` at slot k in post-order, dropping values after their
+    last use."""
+    children = program.children
+    last_use = {slot: k for k, slots in enumerate(children) for slot in slots}
+    values = [None] * len(children) + [leaf(x) for x in (*reversed(program.labels), None)]
+    for k, slots in enumerate(children):
+        values[k] = node(k, values)
+        for slot in slots:
+            if slot >= 0 and last_use[slot] == k:
+                values[slot] = None
+    return values[program.root]
 
 
 def to_text(e: Expr, product_separator: str = "*") -> str:
     """Infix rendering: `+` between addends, factors joined by the separator,
-    parentheses exactly around sum factors.  Pass "" to juxtapose factors.
-    """
+    parentheses exactly around sum factors.  Pass "" to juxtapose factors."""
+    program = compile_program(e)
+    is_product, children = program.is_product, program.children
 
-    def render(node: Expr) -> str:
-        if isinstance(node, Lit):
-            return str(node.label)
-        if isinstance(node, One):
-            return "1"
-        if isinstance(node, Sum):
-            return "+".join(render(child) for child in node.children)
-        parts = []
-        for child in node.children:
-            text = render(child)
-            parts.append(f"({text})" if isinstance(child, Sum) else text)
-        return product_separator.join(parts)
+    def node(k, values):
+        texts = [values[slot] for slot in children[k]]
+        if not is_product[k]:
+            return "+".join(texts)
+        for i, slot in enumerate(children[k]):
+            if slot >= 0 and not is_product[slot]:
+                texts[i] = f"({texts[i]})"
+        return product_separator.join(texts)
 
-    return render(e)
+    return _fold(program, lambda label: "1" if label is None else str(label), node)
+
+
+def to_json_text(e: Expr) -> str:
+    """`json.dumps(to_json(e), indent=2)`.  A node below the root keeps its
+    text indented as a list item, so a shared node is re-indented once."""
+    program = compile_program(e)
+    is_product, children, root = program.is_product, program.children, program.root
+
+    def block(text, nested):
+        return text.replace("\n", "\n    ") if nested else text
+
+    def leaf(label):
+        body = '"one": true' if label is None else f'"lit": "{label}"'
+        return block(f"{{\n  {body}\n}}", root >= 0)
+
+    def node(k, values):
+        pieces = ['{\n  "prod": [' if is_product[k] else '{\n  "sum": [']
+        for slot in children[k]:
+            pieces += ("\n    ", values[slot], ",")
+        if children[k]:
+            pieces[-1] = "\n  "  # no comma after the last item
+        pieces.append("]\n}")
+        return block("".join(pieces), k != root)
+
+    return _fold(program, leaf, node)
 
 
 def to_json(e: Expr) -> dict:
@@ -382,16 +379,12 @@ def to_json(e: Expr) -> dict:
         return {"lit": str(e.label)}
     if isinstance(e, One):
         return {"one": True}
-    if isinstance(e, Sum):
-        return {"sum": [to_json(child) for child in e.children]}
-    return {"prod": [to_json(child) for child in e.children]}
+    return {"sum" if isinstance(e, Sum) else "prod": [to_json(child) for child in e.children]}
 
 
 def from_json(obj: dict) -> Expr:
-    """Inverse of `to_json`; the result is renormalized on the way in.
-
-    A payload that is not of that shape raises MalformedExpressionError.
-    """
+    """Inverse of `to_json`, renormalized; a payload not of that shape raises
+    MalformedExpressionError."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedExpressionError(f"malformed expression node: {obj!r}")
     (kind, value), = obj.items()

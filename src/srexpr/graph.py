@@ -111,6 +111,11 @@ class TerminalKind(enum.Enum):
     UPPER = "u"
     LOWER = "l"
 
+    # Members are singletons, so identity hashing agrees with equality; it runs
+    # in C, where Enum.__hash__ is a Python call that generation would make
+    # ~10^5 times.  No code iterates over a set of members.
+    __hash__ = object.__hash__
+
 
 _KIND_RANK = {TerminalKind.BASIC: 0, TerminalKind.UPPER: 1, TerminalKind.LOWER: 2}
 
@@ -191,6 +196,8 @@ class Family(enum.Enum):
     TRAP_LOWER_LOWER = "trap-lower-lower"
     PARA_LOWER_UPPER = "para-lower-upper"
     PARA_UPPER_LOWER = "para-upper-lower"
+
+    __hash__ = object.__hash__  # as for TerminalKind
 
 
 _FAMILY_OF = {

@@ -203,6 +203,18 @@ def _assignment_digest(assignment: Mapping[EdgeLabel, int]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def check_fingerprint_parameters(trials: int, prime: int, degree: int) -> None:
+    """Raise DomainError unless trials >= 1 and `prime` is a prime greater
+    than `degree`, the degree of the path polynomial (2(n-1) in SR(n)), below
+    which the per-trial false-pass bound is meaningless."""
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if not is_prime(prime):
+        raise DomainError(f"the modulus {prime} is not prime")
+    if prime <= degree:
+        raise DomainError(f"the prime {prime} must exceed the path-polynomial degree {degree}")
+
+
 def check_fingerprint(
     e: Expr,
     g: LabeledDigraph,
@@ -225,17 +237,10 @@ def check_fingerprint(
     (the usual draw whenever the expression names only edges of `g`), and
     the witness is the trial's row plus "label", the first foreign label.
 
-    Raises DomainError unless trials >= 1 and `prime` is a prime greater than
-    the polynomial's degree, the longest path length of `g` (2(n-1) in
-    SR(n)), below which the per-trial false-pass bound is meaningless.
+    Raises DomainError as `check_fingerprint_parameters` does, with the
+    longest path length of `g` as the degree.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    degree = path_length_range(g)[1]
-    if not is_prime(prime):
-        raise DomainError(f"the modulus {prime} is not prime")
-    if prime <= degree:
-        raise DomainError(f"the prime {prime} must exceed the path-polynomial degree {degree}")
+    check_fingerprint_parameters(trials, prime, path_length_range(g)[1])
     program = compile_program(e)
     graph_labels = g.labels()
     foreign = sorted(set(program.labels).difference(graph_labels))

@@ -1,11 +1,17 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from srexpr import from_json, generate, lit, make_product, make_sum
+from srexpr import from_json, generate, literal_count, lit, make_product, make_sum, to_json, to_text
 from srexpr.cli import main
+from srexpr.graph import Terminal
+from srexpr.vda import SubExprKey, expression
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 GOLDEN_SR3 = "(b1+e1*e2+d1*d2)*(b2+e3*e4+d3*d4)+e1*c1*e4+d1*a1*d4"
 
@@ -62,6 +68,32 @@ class TestGen:
         second = run(capsys, "gen", "12", "--output", "json")
         assert first == second
 
+    @pytest.mark.parametrize(
+        "n, flags",
+        [(1, ()), (3, ()), (20, ("--juxtapose",)), (64, ()), (30, ("--sub", "b3,u20"))],
+    )
+    def test_json_equals_dumped_payload(self, capsys, n, flags):
+        # The payload as a dict tree, dumped whole: the layout the spliced
+        # output must keep byte for byte.
+        if flags[:1] == ("--sub",):
+            src, dst = map(Terminal.parse, flags[1].split(","))
+            e = expression(n, SubExprKey(src, dst))
+            extra = {"source": str(src), "sink": str(dst)}
+        else:
+            e, extra = generate(n), {}
+        payload = {"schema_version": 1, "n": n, "literals": literal_count(e), **extra}
+        payload["expression"] = to_text(e, "" if "--juxtapose" in flags else "*")
+        payload["ast"] = to_json(e)
+        code, out, _ = run(capsys, "gen", str(n), *flags, "--output", "json")
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_text_matches_golden_digest(self, capsys):
+        want = json.loads(GOLDEN.read_text())["text"]["200"]["sha256"]
+        code, out, _ = run(capsys, "gen", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
 
 class TestVerify:
     def test_exact_pass(self, capsys):
@@ -109,6 +141,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_bad_flags_rejected_before_generation(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("generation ran before the flags were checked")
+
+        monkeypatch.setattr("srexpr.vda.generate", forbidden)
+        monkeypatch.setattr("srexpr.cli.build_sr", forbidden)
+        for flags in (("--prime", "4"), ("--trials", "0"), ("--prime", "4093")):
+            code, out, err = run(capsys, "verify", "2048", "--mode", "fingerprint", *flags)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         broken = make_sum(
@@ -193,6 +236,18 @@ class TestDot:
 
     def test_bad_terminal_exits_2(self, capsys):
         assert run(capsys, "dot", "7", "--sub", "u9,u2")[0] == 2
+
+
+class TestCrash:
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("srexpr.cli.cmd_gen", crash)
+        code, out, err = run(capsys, "gen", "3")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" in err and "RuntimeError: boom" in err
 
 
 class TestParser:

@@ -10,14 +10,17 @@ from srexpr import (
     DEFAULT_PRIME,
     EMPTY_MONOMIAL,
     EdgeLabel,
+    Family,
     Lit,
     MalformedExpressionError,
     Monomial,
     ONE,
+    One,
     Prod,
     Sum,
     UnboundLabelError,
     build_sr,
+    classify,
     evaluate,
     expand,
     expansion_size,
@@ -30,7 +33,9 @@ from srexpr import (
     to_json,
     to_text,
 )
-from srexpr.expr import compile_program
+from srexpr.expr import compile_program, to_json_text
+from srexpr.graph import Terminal
+from srexpr.vda import SubExprKey, expression
 
 
 def sr2_expr(p=1):
@@ -224,6 +229,71 @@ class TestToText:
         for n in range(1, 9):
             walk(generate(n))
         assert len(seen) > 50
+
+
+def reference_text(node, separator="*"):
+    """The tree-recursive rendering that `to_text` must reproduce byte for byte."""
+    if isinstance(node, Lit):
+        return str(node.label)
+    if isinstance(node, One):
+        return "1"
+    if isinstance(node, Sum):
+        return "+".join(reference_text(child, separator) for child in node.children)
+    return separator.join(
+        f"({reference_text(child, separator)})" if isinstance(child, Sum)
+        else reference_text(child, separator)
+        for child in node.children
+    )
+
+
+# One terminal pair of size 4 or 5 per family, inside SR(12).
+FAMILY_PAIRS = (
+    "b2,b7", "b2,u6", "u2,b7", "b2,l6", "l2,b7", "u2,u7", "l2,l7", "l2,u7", "u2,l7",
+)
+
+
+def emitter_cases():
+    """Generated expressions, one subexpression per family, and nodes built
+    without the smart constructors."""
+    cases = [(f"generate({n})", generate(n)) for n in (1, 2, 3, 20, 64)]
+    for pair in FAMILY_PAIRS:
+        src, dst = map(Terminal.parse, pair.split(","))
+        cases.append((pair, expression(12, SubExprKey(src, dst))))
+    shared = make_product([lit("e1"), lit("e2")])
+    cases += [
+        ("sum in sum", Sum((Sum((lit("a1"), lit("a2"))), lit("b1")))),
+        ("prod with unit", Prod((ONE, lit("b1"), Sum((lit("c1"), ONE))))),
+        ("prod in prod", Prod((Prod((lit("a1"), lit("a2"))), Sum((lit("b1"), shared))))),
+        ("repeated child", Prod((shared, shared, Sum((shared, shared))))),
+        ("empty nodes", Sum((Sum(()), Prod(()), Prod((Sum(()),))))),
+        ("one node", Prod((lit("e2"), lit("d3")))),
+        ("bare literal", lit("d7")),
+        ("bare unit", ONE),
+    ]
+    return cases
+
+
+EMITTER_CASES = emitter_cases()
+
+
+def test_emitter_cases_cover_every_family():
+    families = {
+        classify(*map(Terminal.parse, pair.split(","))).family for pair in FAMILY_PAIRS
+    }
+    assert families == set(Family)
+
+
+class TestEmitters:
+    """The node-table emitters against the tree-recursive definitions."""
+
+    @pytest.mark.parametrize("separator", ["*", ""])
+    @pytest.mark.parametrize("name, e", EMITTER_CASES, ids=[name for name, _ in EMITTER_CASES])
+    def test_text_matches_recursive_reference(self, name, e, separator):
+        assert to_text(e, separator) == reference_text(e, separator)
+
+    @pytest.mark.parametrize("name, e", EMITTER_CASES, ids=[name for name, _ in EMITTER_CASES])
+    def test_json_text_matches_json_dumps(self, name, e):
+        assert to_json_text(e) == json.dumps(to_json(e), indent=2)
 
 
 class TestJson:

@@ -1,5 +1,7 @@
 """Generator tests: base relations, splits, golden expressions, soundness."""
 
+import cProfile
+import pstats
 import sys
 import threading
 from collections import Counter
@@ -321,3 +323,15 @@ class TestHashConsing:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert [results[slot] for slot, _ in jobs] == expected + expected
+
+    def test_generation_makes_no_enum_hash_calls(self):
+        # Terminal kinds and families key the generator's lookups; hashing
+        # them must not go through the Python-level Enum.__hash__.
+        profile = cProfile.Profile()
+        profile.runcall(generate, 64)
+        calls = {
+            func: stat[1]
+            for func, stat in pstats.Stats(profile).stats.items()
+            if func[2] == "__hash__" and func[0].endswith("enum.py")
+        }
+        assert calls == {}
