@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import complexity
 from . import vda
@@ -29,25 +28,6 @@ SCHEMA_VERSION = 1
 # The JSON AST is re-indented and written this many characters at a time, so
 # no second copy of the whole text is ever held.
 _CHUNK = 1 << 20
-
-
-@dataclass(frozen=True)
-class Config:
-    """Default option values shared by the subcommands.
-
-    Fixed flags plus these defaults make every command's output byte-identical
-    across runs and platforms.
-    """
-
-    split_rounding: str = "ceil"
-    output: str = "text"
-    seed: int = 42
-    trials: int = 10
-    prime: int = DEFAULT_PRIME
-    limit: int = 10**6
-
-
-DEFAULTS = Config()
 
 
 def _parse_terminal(text: str) -> Terminal:
@@ -215,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", choices=("text", "json"), default=DEFAULTS.output)
+        p.add_argument("--output", choices=("text", "json"), default="text")
 
     p_gen = sub.add_parser("gen", help="generate the factored expression of SR(n)")
     p_gen.add_argument("n", type=int)
@@ -225,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SRC,DST",
         help="subexpression between two terminals, e.g. b1,u3 (basic/upper/lower + index)",
     )
-    p_gen.add_argument("--rounding", choices=("ceil", "floor"), default=DEFAULTS.split_rounding)
+    p_gen.add_argument("--rounding", choices=("ceil", "floor"), default="ceil")
     p_gen.add_argument("--juxtapose", action="store_true", help="print products without '*'")
     add_output(p_gen)
     p_gen.set_defaults(func=cmd_gen)
@@ -233,11 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check the generated expression against the graph")
     p_verify.add_argument("n", type=int)
     p_verify.add_argument("--mode", choices=("exact", "fingerprint"), default="exact")
-    p_verify.add_argument("--trials", type=int, default=DEFAULTS.trials)
-    p_verify.add_argument("--seed", type=int, default=DEFAULTS.seed)
-    p_verify.add_argument("--prime", type=int, default=DEFAULTS.prime)
-    p_verify.add_argument("--limit", type=int, default=DEFAULTS.limit)
-    p_verify.add_argument("--rounding", choices=("ceil", "floor"), default=DEFAULTS.split_rounding)
+    p_verify.add_argument("--trials", type=int, default=10)
+    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p_verify.add_argument("--limit", type=int, default=10**6)
+    p_verify.add_argument("--rounding", choices=("ceil", "floor"), default="ceil")
     add_output(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

@@ -24,7 +24,7 @@ import enum
 import heapq
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -40,14 +40,16 @@ _LABEL_RE = re.compile(r"^([abcde])([1-9][0-9]*)$")
 _TERMINAL_RE = re.compile(r"^([bul])([1-9][0-9]*)$")
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class EdgeLabel:
     """A named edge: one of the letters a..e plus a positive index.
 
     Labels are totally ordered by (letter, index); that ordering is the
     canonical sort key for monomials and for all deterministic output.
-    Comparison and hashing go through a precomputed integer ordinal: exact
-    expansions hash and compare millions of labels, so this is a hot path.
+    Equality, hashing and `<` go through a precomputed integer ordinal: exact
+    expansions hash and sort millions of labels, so this is a hot path.  The
+    other comparisons are derived from `<` and `==` by `total_ordering`.
     """
 
     letter: str
@@ -72,15 +74,6 @@ class EdgeLabel:
 
     def __lt__(self, other: "EdgeLabel") -> bool:
         return self.sort_ordinal < other.sort_ordinal
-
-    def __le__(self, other: "EdgeLabel") -> bool:
-        return self.sort_ordinal <= other.sort_ordinal
-
-    def __gt__(self, other: "EdgeLabel") -> bool:
-        return self.sort_ordinal > other.sort_ordinal
-
-    def __ge__(self, other: "EdgeLabel") -> bool:
-        return self.sort_ordinal >= other.sort_ordinal
 
     def __str__(self) -> str:
         return f"{self.letter}{self.index}"

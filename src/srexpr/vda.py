@@ -13,11 +13,18 @@ with the split vertex chosen at the midpoint: i = ceil((p+q)/2) for families
 with a basic endpoint, i = ceil((p+q+1)/2) for the dipterous families (floor
 is available as a config knob; the literal counts match either way).
 
-Two of the size-2 trapezoidal base expressions circulate in a letter-swapped
-form whose second addend names edges that do not exist in the subgraph; the
-forms below are the ones validated against the path-sum oracle.  The swapped
-variants are kept (`reference_trap_base_variant`) so the discrepancy report
-can demonstrate the inconsistency.
+Swapping the upper and lower rows (e<->d, c<->a, b fixed) maps a square
+rhomboid onto itself, and every lower-orientation family onto its upper
+partner.  So each base shape is written once, for the upper orientation, as a
+builder taking that orientation's literal makers (e, d, c, a); the lower
+orientation is the same builder called with (d, e, a, c).
+
+The two size-2 trapezoidal base expressions circulate in a letter-swapped
+form, each with the second addend of the other orientation, which names edges
+that do not exist in the subgraph; the forms below are the ones validated
+against the path-sum oracle.  The swapped variants are kept
+(`reference_trap_base_variant`) so the discrepancy report can demonstrate the
+inconsistency.
 
 Generation is a pure function of (n, src, dst, rounding).  Each call to
 `expression` owns its memo (keyed by the two terminals' sort ordinals) and
@@ -71,156 +78,118 @@ def _c(i: int) -> Lit:
     return make_lit("c", i)
 
 
-def _sr_size2(h: ConsTable, p: int) -> Expr:
+# Literal makers of the two orientations, in builder argument order (e, d, c, a).
+_UPPER = (_e, _d, _c, _a)
+_LOWER = (_d, _e, _a, _c)
+
+
+def _sr_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
     # b_p + e_(2p-1) e_(2p) + d_(2p-1) d_(2p)
     return h.sum(
         [
             _b(p),
-            h.product([_e(2 * p - 1), _e(2 * p)]),
-            h.product([_d(2 * p - 1), _d(2 * p)]),
+            h.product([e(2 * p - 1), e(2 * p)]),
+            h.product([d(2 * p - 1), d(2 * p)]),
         ]
     )
 
 
-def _trap_upper_size1(h: ConsTable, p: int) -> Expr:
+def _trap_size1(h: ConsTable, p: int, e, d, c, a) -> Expr:
     # c_p + e_(2p) e_(2p+1)
-    return h.sum([_c(p), h.product([_e(2 * p), _e(2 * p + 1)])])
+    return h.sum([c(p), h.product([e(2 * p), e(2 * p + 1)])])
 
 
-def _trap_lower_size1(h: ConsTable, p: int) -> Expr:
-    # a_p + d_(2p) d_(2p+1)
-    return h.sum([_a(p), h.product([_d(2 * p), _d(2 * p + 1)])])
-
-
-def _sl_basic_upper_size2(h: ConsTable, p: int) -> Expr:
+def _sl_basic_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
     # (b_p + d_(2p-1) d_(2p)) e_(2p+1) + e_(2p-1) (c_p + e_(2p) e_(2p+1))
-    left = h.sum([_b(p), h.product([_d(2 * p - 1), _d(2 * p)])])
+    left = h.sum([_b(p), h.product([d(2 * p - 1), d(2 * p)])])
     return h.sum(
         [
-            h.product([left, _e(2 * p + 1)]),
-            h.product([_e(2 * p - 1), _trap_upper_size1(h, p)]),
+            h.product([left, e(2 * p + 1)]),
+            h.product([e(2 * p - 1), _trap_size1(h, p, e, d, c, a)]),
         ]
     )
 
 
-def _sl_basic_lower_size2(h: ConsTable, p: int) -> Expr:
-    # (b_p + e_(2p-1) e_(2p)) d_(2p+1) + d_(2p-1) (a_p + d_(2p) d_(2p+1))
-    left = h.sum([_b(p), h.product([_e(2 * p - 1), _e(2 * p)])])
-    return h.sum(
-        [
-            h.product([left, _d(2 * p + 1)]),
-            h.product([_d(2 * p - 1), _trap_lower_size1(h, p)]),
-        ]
-    )
-
-
-def _sl_upper_basic_size2(h: ConsTable, p: int) -> Expr:
+def _sl_to_basic_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
     # (c_p + e_(2p) e_(2p+1)) e_(2p+2) + e_(2p) (b_(p+1) + d_(2p+1) d_(2p+2))
-    right = h.sum([_b(p + 1), h.product([_d(2 * p + 1), _d(2 * p + 2)])])
+    right = h.sum([_b(p + 1), h.product([d(2 * p + 1), d(2 * p + 2)])])
     return h.sum(
         [
-            h.product([_trap_upper_size1(h, p), _e(2 * p + 2)]),
-            h.product([_e(2 * p), right]),
+            h.product([_trap_size1(h, p, e, d, c, a), e(2 * p + 2)]),
+            h.product([e(2 * p), right]),
         ]
     )
 
 
-def _sl_lower_basic_size2(h: ConsTable, p: int) -> Expr:
-    # (a_p + d_(2p) d_(2p+1)) d_(2p+2) + d_(2p) (b_(p+1) + e_(2p+1) e_(2p+2))
-    right = h.sum([_b(p + 1), h.product([_e(2 * p + 1), _e(2 * p + 2)])])
-    return h.sum(
-        [
-            h.product([_trap_lower_size1(h, p), _d(2 * p + 2)]),
-            h.product([_d(2 * p), right]),
-        ]
-    )
-
-
-def _trap_upper_size2(h: ConsTable, p: int) -> Expr:
+def _trap_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
     # e_(2p) (b_(p+1) + d_(2p+1) d_(2p+2)) e_(2p+3)
     #   + (c_p + e_(2p) e_(2p+1)) (c_(p+1) + e_(2p+2) e_(2p+3))
-    middle = h.sum([_b(p + 1), h.product([_d(2 * p + 1), _d(2 * p + 2)])])
+    middle = h.sum([_b(p + 1), h.product([d(2 * p + 1), d(2 * p + 2)])])
     return h.sum(
         [
-            h.product([_e(2 * p), middle, _e(2 * p + 3)]),
-            h.product([_trap_upper_size1(h, p), _trap_upper_size1(h, p + 1)]),
+            h.product([e(2 * p), middle, e(2 * p + 3)]),
+            h.product([_trap_size1(h, p, e, d, c, a), _trap_size1(h, p + 1, e, d, c, a)]),
         ]
     )
 
 
-def _trap_lower_size2(h: ConsTable, p: int) -> Expr:
-    # d_(2p) (b_(p+1) + e_(2p+1) e_(2p+2)) d_(2p+3)
-    #   + (a_p + d_(2p) d_(2p+1)) (a_(p+1) + d_(2p+2) d_(2p+3))
-    middle = h.sum([_b(p + 1), h.product([_e(2 * p + 1), _e(2 * p + 2)])])
-    return h.sum(
-        [
-            h.product([_d(2 * p), middle, _d(2 * p + 3)]),
-            h.product([_trap_lower_size1(h, p), _trap_lower_size1(h, p + 1)]),
-        ]
-    )
-
-
-def _para_upper_lower_size2(h: ConsTable, p: int) -> Expr:
+def _para_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
     # e_(2p) (b_(p+1) d_(2p+3) + d_(2p+1) (a_(p+1) + d_(2p+2) d_(2p+3)))
     #   + (c_p + e_(2p) e_(2p+1)) e_(2p+2) d_(2p+3)
     inner = h.sum(
         [
-            h.product([_b(p + 1), _d(2 * p + 3)]),
-            h.product([_d(2 * p + 1), _trap_lower_size1(h, p + 1)]),
+            h.product([_b(p + 1), d(2 * p + 3)]),
+            h.product([d(2 * p + 1), _trap_size1(h, p + 1, d, e, a, c)]),
         ]
     )
     return h.sum(
         [
-            h.product([_e(2 * p), inner]),
-            h.product([_trap_upper_size1(h, p), _e(2 * p + 2), _d(2 * p + 3)]),
+            h.product([e(2 * p), inner]),
+            h.product([_trap_size1(h, p, e, d, c, a), e(2 * p + 2), d(2 * p + 3)]),
         ]
     )
 
 
-def _para_lower_upper_size2(h: ConsTable, p: int) -> Expr:
-    # d_(2p) (b_(p+1) e_(2p+3) + e_(2p+1) (c_(p+1) + e_(2p+2) e_(2p+3)))
-    #   + (a_p + d_(2p) d_(2p+1)) d_(2p+2) e_(2p+3)
-    inner = h.sum(
-        [
-            h.product([_b(p + 1), _e(2 * p + 3)]),
-            h.product([_e(2 * p + 1), _trap_upper_size1(h, p + 1)]),
-        ]
-    )
-    return h.sum(
-        [
-            h.product([_d(2 * p), inner]),
-            h.product([_trap_lower_size1(h, p), _d(2 * p + 2), _e(2 * p + 3)]),
-        ]
-    )
+def _sl_basic_size1(h: ConsTable, p: int, e, d, c, a) -> Expr:
+    return e(2 * p - 1)
+
+
+def _sl_to_basic_size1(h: ConsTable, p: int, e, d, c, a) -> Expr:
+    return e(2 * p)
+
+
+def _para_size1(h: ConsTable, p: int, e, d, c, a) -> Expr:
+    return h.product([e(2 * p), d(2 * p + 1)])
 
 
 _BASE_BUILDERS = {
-    (Family.SR, 1): lambda h, p: ONE,
-    (Family.SR, 2): _sr_size2,
-    (Family.SL_BASIC_UPPER, 1): lambda h, p: _e(2 * p - 1),
-    (Family.SL_BASIC_LOWER, 1): lambda h, p: _d(2 * p - 1),
-    (Family.SL_UPPER_BASIC, 1): lambda h, p: _e(2 * p),
-    (Family.SL_LOWER_BASIC, 1): lambda h, p: _d(2 * p),
-    (Family.TRAP_UPPER_UPPER, 1): _trap_upper_size1,
-    (Family.TRAP_LOWER_LOWER, 1): _trap_lower_size1,
-    (Family.PARA_UPPER_LOWER, 1): lambda h, p: h.product([_e(2 * p), _d(2 * p + 1)]),
-    (Family.PARA_LOWER_UPPER, 1): lambda h, p: h.product([_d(2 * p), _e(2 * p + 1)]),
-    (Family.SL_BASIC_UPPER, 2): _sl_basic_upper_size2,
-    (Family.SL_BASIC_LOWER, 2): _sl_basic_lower_size2,
-    (Family.SL_UPPER_BASIC, 2): _sl_upper_basic_size2,
-    (Family.SL_LOWER_BASIC, 2): _sl_lower_basic_size2,
-    (Family.TRAP_UPPER_UPPER, 2): _trap_upper_size2,
-    (Family.TRAP_LOWER_LOWER, 2): _trap_lower_size2,
-    (Family.PARA_UPPER_LOWER, 2): _para_upper_lower_size2,
-    (Family.PARA_LOWER_UPPER, 2): _para_lower_upper_size2,
+    (Family.SR, 1): (lambda h, p, e, d, c, a: ONE, _UPPER),
+    (Family.SR, 2): (_sr_size2, _UPPER),
+    (Family.SL_BASIC_UPPER, 1): (_sl_basic_size1, _UPPER),
+    (Family.SL_BASIC_LOWER, 1): (_sl_basic_size1, _LOWER),
+    (Family.SL_UPPER_BASIC, 1): (_sl_to_basic_size1, _UPPER),
+    (Family.SL_LOWER_BASIC, 1): (_sl_to_basic_size1, _LOWER),
+    (Family.TRAP_UPPER_UPPER, 1): (_trap_size1, _UPPER),
+    (Family.TRAP_LOWER_LOWER, 1): (_trap_size1, _LOWER),
+    (Family.PARA_UPPER_LOWER, 1): (_para_size1, _UPPER),
+    (Family.PARA_LOWER_UPPER, 1): (_para_size1, _LOWER),
+    (Family.SL_BASIC_UPPER, 2): (_sl_basic_size2, _UPPER),
+    (Family.SL_BASIC_LOWER, 2): (_sl_basic_size2, _LOWER),
+    (Family.SL_UPPER_BASIC, 2): (_sl_to_basic_size2, _UPPER),
+    (Family.SL_LOWER_BASIC, 2): (_sl_to_basic_size2, _LOWER),
+    (Family.TRAP_UPPER_UPPER, 2): (_trap_size2, _UPPER),
+    (Family.TRAP_LOWER_LOWER, 2): (_trap_size2, _LOWER),
+    (Family.PARA_UPPER_LOWER, 2): (_para_size2, _UPPER),
+    (Family.PARA_LOWER_UPPER, 2): (_para_size2, _LOWER),
 }
 
 
 def _base(h: ConsTable, src: Terminal, dst: Terminal, kind: SubgraphKind) -> Expr:
-    builder = _BASE_BUILDERS.get((kind.family, kind.size))
-    if builder is None:
+    entry = _BASE_BUILDERS.get((kind.family, kind.size))
+    if entry is None:
         raise BaseCaseExpectedError(f"{src}->{dst} (size {kind.size}) is not a base case")
-    return builder(h, src.index)
+    builder, letters = entry
+    return builder(h, src.index, *letters)
 
 
 def base_expression(key: SubExprKey) -> Expr:
@@ -231,27 +200,19 @@ def base_expression(key: SubExprKey) -> Expr:
 def reference_trap_base_variant(key: SubExprKey) -> Expr:
     """Letter-swapped variant of a size-2 trapezoidal base expression.
 
-    This is the variant with the upper/lower second addends exchanged between
-    the two trapezoid orientations.  It has the same literal count (11) as
-    the validated form but names edges outside the subgraph, so it fails the
-    path-set check; it exists solely to feed the discrepancy report.
+    The validated trapezoid's first addend plus the second addend of the
+    opposite orientation, i.e. of its image under upper<->lower (e<->d,
+    c<->a).  It has the same literal count (11) as the validated form but
+    names edges outside the subgraph, so it fails the path-set check; it
+    exists solely to feed the discrepancy report.
     """
     kind = classify(key.src, key.dst)
     if kind.size != 2 or not kind.is_trapezoidal:
         raise ValueError(f"{key.src}->{key.dst} is not a size-2 trapezoid")
-    p = key.src.index
+    e, d, c, a = _BASE_BUILDERS[(kind.family, 2)][1]
     h = ConsTable()
-    middle = (
-        h.sum([_b(p + 1), h.product([_d(2 * p + 1), _d(2 * p + 2)])])
-        if kind.family is Family.TRAP_UPPER_UPPER
-        else h.sum([_b(p + 1), h.product([_e(2 * p + 1), _e(2 * p + 2)])])
-    )
-    if kind.family is Family.TRAP_UPPER_UPPER:
-        first = h.product([_e(2 * p), middle, _e(2 * p + 3)])
-        second = h.product([_trap_lower_size1(h, p), _trap_lower_size1(h, p + 1)])
-    else:
-        first = h.product([_d(2 * p), middle, _d(2 * p + 3)])
-        second = h.product([_trap_upper_size1(h, p), _trap_upper_size1(h, p + 1)])
+    first, _ = _trap_size2(h, key.src.index, e, d, c, a).children
+    _, second = _trap_size2(h, key.src.index, d, e, a, c).children
     return h.sum([first, second])
 
 

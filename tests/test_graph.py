@@ -1,5 +1,7 @@
 """Structural tests for square rhomboids and path-induced subgraphs."""
 
+import operator
+
 import pytest
 
 from srexpr import (
@@ -8,6 +10,7 @@ from srexpr import (
     EmptySubgraphError,
     Family,
     InvalidSizeError,
+    Monomial,
     OrderingError,
     RangeError,
     Terminal,
@@ -22,6 +25,8 @@ from srexpr import (
     to_dot,
     upper,
 )
+
+OPERATORS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
 
 
 def edge_label_set(g):
@@ -261,3 +266,20 @@ class TestParsing:
 
     def test_edge_label_ordering(self):
         assert EdgeLabel("a", 9) < EdgeLabel("b", 1) < EdgeLabel("b", 2) < EdgeLabel("e", 1)
+
+    def test_all_six_comparisons_follow_letter_then_index(self):
+        # labels and monomials (tuples of labels) against their (letter, index) keys
+        labels = [EdgeLabel(letter, i) for letter in "aceb" for i in (12, 1, 2)]
+        monomials = [Monomial(()), *(Monomial((x,)) for x in labels[:4])]
+        monomials += [Monomial((x, y)) for x in labels[:3] for y in labels[3:6]]
+
+        def key(value):
+            if isinstance(value, Monomial):
+                return tuple(key(label) for label in value.labels)
+            return (value.letter, value.index)
+
+        for items in (labels, monomials):
+            for x in items:
+                for y in items:
+                    for op in OPERATORS:
+                        assert op(x, y) == op(key(x), key(y)), (x, y, op)

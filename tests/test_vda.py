@@ -1,6 +1,7 @@
 """Generator tests: base relations, splits, golden expressions, soundness."""
 
 import cProfile
+import hashlib
 import pstats
 import sys
 import threading
@@ -10,10 +11,13 @@ import pytest
 
 from srexpr import (
     BaseCaseExpectedError,
+    Family,
     Lit,
     One,
+    OrderingError,
     RangeError,
     SubExprKey,
+    TerminalKind,
     base_expression,
     basic,
     build_sr,
@@ -30,10 +34,24 @@ from srexpr import (
     to_text,
     upper,
 )
-from srexpr.expr import iter_expansion
+from srexpr.expr import iter_expansion, to_json_text
 from srexpr.graph import _iter_path_labels
 
 GOLDEN_SR3 = "(b1+e1*e2+d1*d2)*(b2+e3*e4+d3*d4)+e1*c1*e4+d1*a1*d4"
+
+# sha256 of to_text / to_json_text of every terminal pair of SR(12), each
+# followed by "\n", in build_sr(12).vertices order (source, then sink).
+SR12_TEXT_SHA256 = "361635004980d0fcf61f544a343882f191bd2a2b93efb370d0512ddfb82fbf81"
+SR12_JSON_SHA256 = "25494ba1ce3c193482db63e2256c49a27d86400e7d248b66519ce9a1e1465db6"
+
+LOWER_FAMILIES = [
+    Family.SL_BASIC_LOWER,
+    Family.SL_LOWER_BASIC,
+    Family.TRAP_LOWER_LOWER,
+    Family.PARA_LOWER_UPPER,
+]
+# The row swap upper<->lower maps e<->d and c<->a and fixes b.
+ROW_SWAP = str.maketrans("edca", "deac")
 
 # Every base relation with its terminal pair at position p and the p-range
 # valid inside SR(8); the texts are the relations written out at p = 1.
@@ -152,6 +170,24 @@ class TestBaseRelations:
         with pytest.raises(BaseCaseExpectedError):
             base_expression(SubExprKey(basic(1), basic(3)))
 
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("family", LOWER_FAMILIES, ids=lambda f: f.value)
+    def test_lower_orientation_is_row_swapped_upper(self, family, size):
+        # every position of the family in SR(8) against its upper partner
+        mirror = {TerminalKind.BASIC: basic, TerminalKind.UPPER: lower, TerminalKind.LOWER: upper}
+        checked = 0
+        for src, dst in terminal_pairs(build_sr(8)):
+            kind = classify(src, dst)
+            if (kind.family, kind.size) != (family, size):
+                continue
+            partner = SubExprKey(mirror[src.kind](src.index), mirror[dst.kind](dst.index))
+            upper_text = to_text(base_expression(partner))
+            assert to_text(base_expression(SubExprKey(src, dst))) == upper_text.translate(
+                ROW_SWAP
+            ), (src, dst)
+            checked += 1
+        assert checked >= 5
+
     def test_reference_variant_is_letter_swapped(self):
         key = SubExprKey(upper(1), upper(3))
         assert (
@@ -163,6 +199,17 @@ class TestBaseRelations:
             reference_trap_base_variant(SubExprKey(upper(1), lower(3)))
         with pytest.raises(ValueError):
             reference_trap_base_variant(SubExprKey(upper(1), upper(2)))
+
+
+def terminal_pairs(g):
+    """Every (src, dst) of `g` that spans a subgraph, in vertex order."""
+    for src in g.vertices:
+        for dst in g.vertices:
+            try:
+                classify(src, dst)
+            except OrderingError:
+                continue
+            yield src, dst
 
 
 class TestGenerate:
@@ -198,6 +245,14 @@ class TestGenerate:
 
     def test_whole_graph_key_equals_generate(self):
         assert expression(6, SubExprKey(basic(1), basic(6))) == generate(6)
+
+    def test_every_sr12_subexpression_matches_recorded_digests(self):
+        text, json_text = hashlib.sha256(), hashlib.sha256()
+        for src, dst in terminal_pairs(build_sr(12)):
+            e = expression(12, SubExprKey(src, dst))
+            text.update(to_text(e).encode() + b"\n")
+            json_text.update(to_json_text(e).encode() + b"\n")
+        assert (text.hexdigest(), json_text.hexdigest()) == (SR12_TEXT_SHA256, SR12_JSON_SHA256)
 
     def test_out_of_range_key(self):
         with pytest.raises(RangeError):
