@@ -19,9 +19,9 @@ import sys
 
 from . import complexity
 from . import vda
-from .errors import SrexprError
+from .errors import CapacityError, SrexprError
 from .expr import DEFAULT_PRIME, literal_count, to_json_text, to_text
-from .graph import Terminal, build_sr, induced_subgraph, to_dot
+from .graph import Terminal, build_sr, induced_subgraph, sr_path_count, to_dot
 from .oracle import check_exact, check_fingerprint, check_fingerprint_parameters
 
 SCHEMA_VERSION = 1
@@ -89,6 +89,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # The longest path of SR(n) has 2(n-1) edges; reject bad flags before
         # paying for the graph and the expression.
         check_fingerprint_parameters(args.trials, args.prime, 2 * (args.n - 1))
+    elif sr_path_count(args.n, stop_above=args.limit) > args.limit:
+        # The recurrence stops at the first count past the limit, so even a
+        # huge n is refused before the graph and the expression are built.
+        raise CapacityError(
+            f"SR({args.n}) has more paths than the limit {args.limit}; use the fingerprint check"
+        )
     graph = build_sr(args.n)
     expr = vda.generate(args.n, rounding=args.rounding)
     if args.mode == "exact":

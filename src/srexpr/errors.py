@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+import math
+
+_LONG_COUNT = 10**30
+
 
 class SrexprError(Exception):
     """Base class for all srexpr errors."""
@@ -27,6 +31,22 @@ class BaseCaseExpectedError(SrexprError, ValueError):
 
 class CapacityError(SrexprError, RuntimeError):
     """An exact expansion or enumeration would exceed the caller's limit."""
+
+    @classmethod
+    def exceeded(cls, count: int, noun: str, limit: int, advice: str = "") -> "CapacityError":
+        """The error for `count` `noun` over `limit`.  A count of more than
+        30 digits is stated by its digit count: it is no use to a reader in
+        full, and `str` refuses ints of more than 4,300 digits."""
+        if count < _LONG_COUNT:
+            text = f"{count} {noun} exceed the limit {limit}"
+        else:
+            digits = int(math.log10(count)) + 1  # a float: may be one off
+            while count >= 10**digits:
+                digits += 1
+            while count < 10 ** (digits - 1):
+                digits -= 1
+            text = f"a {digits}-digit number of {noun} exceeds the limit {limit}"
+        return cls(f"{text}; {advice}" if advice else text)
 
 
 class UnboundLabelError(SrexprError, KeyError):

@@ -177,25 +177,14 @@ def literal_count(e: Expr) -> int:
 
 def expansion_size(e: Expr) -> int:
     """Number of monomials (with multiplicity) in the full expansion."""
-    memo: dict[int, int] = {}
+    program = compile_program(e)
+    is_product, children = program.is_product, program.children
 
-    def size(node: Expr) -> int:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, (Lit, One)):
-            result = 1
-        elif isinstance(node, Sum):
-            result = sum(size(child) for child in node.children)
-        else:
-            result = 1
-            for child in node.children:
-                result *= size(child)
-        memo[key] = result
-        return result
+    def node(k, values):
+        sizes = [values[slot] for slot in children[k]]
+        return prod(sizes) if is_product[k] else sum(sizes)
 
-    return size(e)
+    return _fold(program, lambda label: 1, node)
 
 
 def iter_expansion(e: Expr) -> Iterator[Monomial]:
@@ -237,7 +226,7 @@ def expand(e: Expr, limit: int = 10**6) -> list[Monomial]:
     before building any, past `limit` monomials."""
     size = expansion_size(e)
     if size > limit:
-        raise CapacityError(f"expansion of {size} monomials exceeds the limit {limit}")
+        raise CapacityError.exceeded(size, "monomials", limit)
     return list(iter_expansion(e))
 
 

@@ -426,6 +426,24 @@ def path_count(g: LabeledDigraph) -> int:
     return count[g.sink]
 
 
+def sr_path_count(n: int, stop_above: int | None = None) -> int:
+    """`path_count(build_sr(n))` from the row recurrence, without the graph.
+
+    b and u are the path counts from basic 1 to basic p and to upper p (lower
+    p has as many): u' = b + u and b' = b + 2u'.  With `stop_above`, the
+    first count past it is returned as soon as it appears; the count grows
+    with n, so the result exceeds `stop_above` exactly when the true count
+    does, and a huge n costs no more than the steps to get there.
+    """
+    b, u = 1, 0
+    for _ in range(n - 1):
+        if stop_above is not None and b > stop_above:
+            break
+        u = b + u
+        b = b + 2 * u
+    return b
+
+
 def path_length_range(g: LabeledDigraph) -> tuple[int, int]:
     """(shortest, longest) source-to-sink path length in edges."""
     shortest = {v: None for v in g.vertices}
@@ -484,7 +502,7 @@ def enumerate_paths(g: LabeledDigraph, limit: int = 10**6) -> list:
 
     n_paths = path_count(g)
     if n_paths > limit:
-        raise CapacityError(f"{n_paths} paths exceed the enumeration limit {limit}")
+        raise CapacityError.exceeded(n_paths, "paths", limit)
     key = lambda label: label.sort_ordinal
     monomials = [Monomial(tuple(sorted(labels, key=key))) for labels in _iter_path_labels(g)]
     monomials.sort(key=lambda m: tuple(label.sort_ordinal for label in m.labels))

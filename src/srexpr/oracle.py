@@ -4,6 +4,10 @@ Two independent oracles:
 
   * `check_exact` expands the expression and compares the monomial multiset
     against the graph's path enumeration.  Unarguable, but exponential in n.
+    A monomial is one int: label i of the sorted labels adds 1 to the i-th
+    bit field, and the fields are wide enough for the largest degree, so no
+    field carries into the next and equal ints mean equal label multisets,
+    repeated labels included.
   * `check_fingerprint` compares random evaluations of the expression against
     a dynamic program over the graph that computes the same polynomial
     without ever expanding it.  Scales to any n; per-trial false-pass
@@ -28,11 +32,12 @@ from .expr import (
     EdgeLabel,
     Expr,
     Monomial,
+    Program,
+    _fold,
     compile_program,
     expansion_size,
-    iter_expansion,
 )
-from .graph import LabeledDigraph, _iter_path_labels, path_count, path_length_range
+from .graph import LabeledDigraph, path_count, path_length_range
 
 _MASK64 = (1 << 64) - 1
 
@@ -163,39 +168,108 @@ class VerificationReport:
         return text
 
 
+def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[int]:
+    """The code of every monomial of the expansion, with multiplicity."""
+    is_product, children = program.is_product, program.children
+
+    def node(k, values):
+        lists = [values[slot] for slot in children[k]]
+        if not is_product[k]:
+            return [x for part in lists for x in part]
+        acc = lists[0]
+        for part in lists[1:]:
+            acc = [x + y for x in acc for y in part]
+        return acc
+
+    return _fold(program, lambda label: [0 if label is None else code[label]], node)
+
+
+def _graph_codes(g: LabeledDigraph, code: Mapping[EdgeLabel, int]) -> list[int]:
+    """The code of every source-to-sink path of `g`, each path once.
+
+    A forward pass over topological order: a vertex holds the codes of its
+    paths from the source, and drops them after its last out-edge is taken.
+    """
+    remaining = {v: len(g.out_edges(v)) for v in g.vertices}
+    at = {g.source: [0]}
+    for v in g.topological_order[1:]:  # the source comes first: it alone has no in-edge
+        codes: list[int] = []
+        for tail, label in g.in_edges(v):
+            step = code[label]
+            codes += [m + step for m in at[tail]]
+            remaining[tail] -= 1
+            if not remaining[tail]:
+                del at[tail]
+        at[v] = codes
+    return at[g.sink]
+
+
 def check_exact(e: Expr, g: LabeledDigraph, limit: int = 10**6) -> VerificationReport:
     """Pass iff the expansion of `e` equals the path-monomial multiset of `g`
     and contains no duplicate monomials.
+
+    Both sides are enumerated in full: the expansion by one pass over the
+    compiled expression, the paths by a forward pass over the graph that
+    never looks at `e`.  A monomial is one int: over the sorted union of both
+    sides' labels, label i adds 1 to the i-th field of `width` bits, where
+    `width` is the bit length of the largest degree in the expansion (at
+    least 1, for the graph's squarefree paths).  No field can carry into the
+    next, so equal codes mean equal multisets of labels, repeated labels
+    included; a bitmask would merge b1 with b1*b1.  The witness is the least
+    monomial, in Monomial order, among the duplicates or else the one-sided
+    surplus, and only it is decoded back into a Monomial.
 
     Raises CapacityError when either side would exceed `limit` monomials.
     """
     n_paths = path_count(g)
     if n_paths > limit:
-        raise CapacityError(f"{n_paths} paths exceed the limit {limit}; use the fingerprint check")
+        raise CapacityError.exceeded(n_paths, "paths", limit, "use the fingerprint check")
     n_monomials = expansion_size(e)
     if n_monomials > limit:
-        raise CapacityError(f"{n_monomials} monomials exceed the limit {limit}")
+        raise CapacityError.exceeded(n_monomials, "monomials", limit)
 
-    key = lambda label: label.sort_ordinal
-    expanded = Counter(iter_expansion(e))
-    paths = Counter(
-        Monomial(tuple(sorted(labels, key=key))) for labels in _iter_path_labels(g)
-    )
+    program = compile_program(e)
+    is_product, children = program.is_product, program.children
+
+    def degree(k, values):
+        degrees = [values[slot] for slot in children[k]]
+        return sum(degrees) if is_product[k] else max(degrees)
+
+    width = max(_fold(program, lambda label: 0 if label is None else 1, degree), 1).bit_length()
+    labels = sorted(set(g.labels()).union(program.labels))
+    code = {label: 1 << (width * i) for i, label in enumerate(labels)}
+    expanded = _expression_codes(program, code)
+    distinct = set(expanded)
+    paths = set(_graph_codes(g, code))  # distinct paths have distinct edge sets
     detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
+    if len(distinct) < len(expanded):
+        side = "duplicate-in-expression"
+        surplus = [m for m, count in Counter(expanded).items() if count > 1]
+    elif distinct != paths:
+        # Neither side repeats a code, so a side's surplus is a set difference.
+        side, surplus = "expression-only", distinct - paths
+        if not surplus:
+            side, surplus = "graph-only", paths - distinct
+    else:
+        return VerificationReport("exact", "pass", detail=detail)
+    witness = {"monomial": str(_least(list(surplus), labels, width)), "side": side}
+    return VerificationReport("exact", "fail", witness=witness, detail=detail)
 
-    duplicates = sorted(m for m, count in expanded.items() if count > 1)
-    if duplicates:
-        witness = {"monomial": str(duplicates[0]), "side": "duplicate-in-expression"}
-        return VerificationReport("exact", "fail", witness=witness, detail=detail)
-    if expanded != paths:
-        only_expr = sorted(m for m in expanded if expanded[m] > paths[m])
-        only_graph = sorted(m for m in paths if paths[m] > expanded[m])
-        if only_expr:
-            witness = {"monomial": str(only_expr[0]), "side": "expression-only"}
-        else:
-            witness = {"monomial": str(only_graph[0]), "side": "graph-only"}
-        return VerificationReport("exact", "fail", witness=witness, detail=detail)
-    return VerificationReport("exact", "pass", detail=detail)
+
+def _least(codes: list[int], labels: list[EdgeLabel], width: int) -> Monomial:
+    """The least of the monomials coded by `codes`, in Monomial order (label
+    sequences compared item by item), without decoding the others: take the
+    lowest label any code holds, keep the codes that hold it and remove one
+    copy from each, until a code is left empty."""
+    factors: list[EdgeLabel] = []
+    while 0 not in codes:
+        lowest_bit = min(c & -c for c in codes)
+        i = (lowest_bit.bit_length() - 1) // width
+        unit = 1 << (width * i)
+        through_i = (unit << width) - 1  # fields 0..i; no code holds a label below i
+        codes = [c - unit for c in codes if c & through_i]
+        factors.append(labels[i])
+    return Monomial(tuple(factors))
 
 
 def _assignment_digest(assignment: Mapping[EdgeLabel, int]) -> str:

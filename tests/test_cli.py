@@ -153,6 +153,21 @@ class TestVerify:
             assert (code, out) == (2, "")
             assert err.startswith("error: ")
 
+    def test_exact_size_eleven_fits_the_default_limit(self, capsys):
+        code, out, _ = run(capsys, "verify", "11")
+        assert (code, out) == (0, "exact pass: 413403 expression monomials vs 413403 graph paths\n")
+
+    def test_exact_capacity_refused_before_generation(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the graph or the expression was built")
+
+        monkeypatch.setattr("srexpr.vda.generate", forbidden)
+        monkeypatch.setattr("srexpr.cli.build_sr", forbidden)
+        for argv in (("verify", "20000"), ("verify", "12", "--limit", "1000000")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: SR(") and "limit" in err
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         broken = make_sum(
             [make_product([lit("e1"), lit("e2")]), make_product([lit("d1"), lit("d2")])]

@@ -34,7 +34,7 @@ from srexpr import (
     to_text,
 )
 from srexpr.expr import compile_program, to_json_text
-from srexpr.graph import Terminal
+from srexpr.graph import Terminal, path_count
 from srexpr.vda import SubExprKey, expression
 
 
@@ -134,6 +134,32 @@ class TestExpand:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             expand(generate(6), limit=100)
+
+    def test_capacity_message_states_a_huge_count_by_its_digits(self):
+        # 2**15000 monomials: str() refuses ints of more than 4,300 digits
+        huge = make_product([make_sum([lit("b1"), lit("b2")])] * 15000)
+        assert expansion_size(huge) == 2**15000
+        message = "^a 4516-digit number of monomials exceeds the limit 10$"
+        with pytest.raises(CapacityError, match=message):
+            expand(huge, limit=10)
+
+    @pytest.mark.parametrize(
+        "count, text",
+        [
+            (10**30 - 1, f"{10**30 - 1} monomials exceed"),
+            (10**30, "a 31-digit number of monomials exceeds"),
+            (10**31 - 1, "a 31-digit number of monomials exceeds"),
+            (10**31, "a 32-digit number of monomials exceeds"),
+        ],
+    )
+    def test_capacity_message_digit_count_at_the_boundaries(self, count, text):
+        assert str(CapacityError.exceeded(count, "monomials", 5)) == f"{text} the limit 5"
+
+    def test_expansion_size_of_shared_and_degenerate_nodes(self):
+        x = sr2_expr()
+        assert expansion_size(make_product([x, make_sum([x, x]), x])) == 3 * 6 * 3
+        assert expansion_size(ONE) == expansion_size(lit("b1")) == 1
+        assert expansion_size(generate(10)) == path_count(build_sr(10))
 
     def test_monomial_labels_are_sorted(self):
         for monomial in expand(sr3_expr()):

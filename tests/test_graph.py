@@ -25,6 +25,7 @@ from srexpr import (
     to_dot,
     upper,
 )
+from srexpr.graph import sr_path_count
 
 OPERATORS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
 
@@ -226,6 +227,17 @@ class TestPaths:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             enumerate_paths(build_sr(4), limit=10)
+
+    def test_row_recurrence_counts_paths(self):
+        assert [sr_path_count(n) for n in range(1, 65)] == [
+            path_count(build_sr(n)) for n in range(1, 65)
+        ]
+
+    def test_row_recurrence_stops_past_the_bound(self):
+        # the first count above the bound, however large n is
+        assert sr_path_count(10**9, stop_above=100) == sr_path_count(5) == 153
+        assert sr_path_count(5, stop_above=153) == 153
+        assert sr_path_count(6, stop_above=153) == 571
 
 
 class TestDot:

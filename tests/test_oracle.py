@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -11,16 +12,26 @@ from srexpr import (
     DEFAULT_PRIME,
     DomainError,
     EdgeLabel,
+    Lit,
+    Monomial,
     ONE,
+    One,
+    OrderingError,
     SplitMix64,
     SubExprKey,
+    Sum,
     UnboundLabelError,
+    VerificationReport,
     build_sr,
     check_exact,
     check_fingerprint,
+    classify,
     dp_eval,
+    expansion_size,
+    expression,
     generate,
     induced_subgraph,
+    iter_expansion,
     lit,
     lower,
     make_product,
@@ -30,6 +41,7 @@ from srexpr import (
     reference_trap_base_variant,
     upper,
 )
+from srexpr.graph import _iter_path_labels
 from srexpr.oracle import is_prime
 
 # Standard first outputs of the split-mix construction.
@@ -54,6 +66,68 @@ def broken_sr2_swapped_label():
             make_product([lit("d1"), lit("d2")]),
         ]
     )
+
+
+def reference_check_exact(e, g, limit=10**6):
+    """The exact oracle on Counters of Monomial: slow, but built only from
+    `iter_expansion` and path enumeration, so it checks the coded one."""
+    n_paths = path_count(g)
+    if n_paths > limit:
+        raise CapacityError(f"{n_paths} paths exceed the limit {limit}")
+    n_monomials = expansion_size(e)
+    if n_monomials > limit:
+        raise CapacityError(f"{n_monomials} monomials exceed the limit {limit}")
+    key = lambda label: label.sort_ordinal
+    expanded = Counter(iter_expansion(e))
+    paths = Counter(Monomial(tuple(sorted(labels, key=key))) for labels in _iter_path_labels(g))
+    detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
+    duplicates = sorted(m for m, count in expanded.items() if count > 1)
+    if duplicates:
+        witness = {"monomial": str(duplicates[0]), "side": "duplicate-in-expression"}
+        return VerificationReport("exact", "fail", witness=witness, detail=detail)
+    if expanded != paths:
+        only_expr = sorted(m for m in expanded if expanded[m] > paths[m])
+        only_graph = sorted(m for m in paths if paths[m] > expanded[m])
+        if only_expr:
+            witness = {"monomial": str(only_expr[0]), "side": "expression-only"}
+        else:
+            witness = {"monomial": str(only_graph[0]), "side": "graph-only"}
+        return VerificationReport("exact", "fail", witness=witness, detail=detail)
+    return VerificationReport("exact", "pass", detail=detail)
+
+
+def relabel_first_literal(e, label):
+    """`e` with its leftmost literal occurrence replaced by `label`, or None
+    if `e` has no literal."""
+    if isinstance(e, Lit):
+        return lit(str(label))
+    if isinstance(e, One):
+        return None
+    for i, child in enumerate(e.children):
+        changed = relabel_first_literal(child, label)
+        if changed is not None:
+            children = list(e.children)
+            children[i] = changed
+            return make_sum(children) if isinstance(e, Sum) else make_product(children)
+    return None
+
+
+def wrong_variants(e, labels):
+    """A dropped addend, a duplicated addend and two relabelled literals."""
+    variants = []
+    if isinstance(e, Sum):
+        addends = list(e.children)
+        variants.append(make_sum(addends[:1] + addends[2:]))
+        variants.append(make_sum(addends + addends[-1:]))
+    for label in labels[:1] + labels[-1:]:
+        variants.append(relabel_first_literal(e, label))
+    return [variant for variant in variants if variant is not None]
+
+
+def assert_same_report(actual, expected):
+    assert actual.to_json() == expected.to_json()
+    assert actual.summary() == expected.summary()
+    assert actual.detail == expected.detail
 
 
 class TestSplitMix:
@@ -130,6 +204,75 @@ class TestCheckExact:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             check_exact(generate(6), build_sr(6), limit=100)
+
+
+class TestExactAgainstReference:
+    def test_every_sr8_pair_and_its_wrong_variants(self):
+        g = build_sr(8)
+        verdicts = Counter()
+        for src in g.vertices:
+            for dst in g.vertices:
+                try:
+                    kind = classify(src, dst)
+                except OrderingError:
+                    continue
+                sub = induced_subgraph(g, src, dst)
+                e = expression(8, SubExprKey(src, dst))
+                cases = [e, *wrong_variants(e, sub.labels())]
+                if kind.size == 2 and kind.is_trapezoidal:
+                    cases.append(reference_trap_base_variant(SubExprKey(src, dst)))
+                for case in cases:
+                    report = check_exact(case, sub)
+                    assert_same_report(report, reference_check_exact(case, sub))
+                    verdicts[report.witness["side"] if report.witness else "pass"] += 1
+        # every kind of verdict is compared, not just passes
+        assert set(verdicts) == {
+            "pass", "duplicate-in-expression", "expression-only", "graph-only"
+        }
+
+
+class TestExactCodes:
+    @pytest.mark.parametrize("k", range(2, 18))
+    def test_a_repeated_label_keeps_its_multiplicity(self, k):
+        # k crosses the degrees where the code's field width grows
+        power = make_product([lit("b1")] * k)
+        witness = "*".join(["b1"] * k)
+        report = check_exact(power, build_sr(2))
+        assert report.witness == {"monomial": witness, "side": "expression-only"}
+        report = check_exact(make_sum([power, lit("b1"), power]), build_sr(2))
+        assert report.witness == {"monomial": witness, "side": "duplicate-in-expression"}
+
+    def test_a_square_is_not_the_next_label(self):
+        # with one-bit fields, b1*b1 would code as d1 and this would pass
+        e = make_sum(
+            [
+                lit("b1"),
+                make_product([lit("e1"), lit("e2")]),
+                make_product([lit("b1"), lit("b1"), lit("d2")]),
+            ]
+        )
+        report = check_exact(e, build_sr(2))
+        assert report.witness == {"monomial": "b1*b1*d2", "side": "expression-only"}
+        assert_same_report(report, reference_check_exact(e, build_sr(2)))
+
+    def test_the_witness_may_be_a_prefix_of_another_surplus_monomial(self):
+        a1, b2, c1 = lit("a1"), lit("b2"), lit("c1")
+        e = make_sum([a1, make_product([a1, b2]), make_product([a1, b2, c1])])
+        report = check_exact(e, build_sr(3))
+        assert report.witness == {"monomial": "a1", "side": "expression-only"}
+        assert_same_report(report, reference_check_exact(e, build_sr(3)))
+
+    def test_unit_against_a_graph_with_paths(self):
+        report = check_exact(ONE, build_sr(2))
+        assert report.witness == {"monomial": "1", "side": "expression-only"}
+        report = check_exact(make_sum([ONE, ONE]), build_sr(1))
+        assert report.witness == {"monomial": "1", "side": "duplicate-in-expression"}
+
+    def test_capacity_message_states_a_huge_count_by_its_digits(self):
+        huge = make_product([make_sum([lit("b1"), lit("b2")])] * 15000)
+        message = "^a 4516-digit number of monomials exceeds the limit 1000$"
+        with pytest.raises(CapacityError, match=message):
+            check_exact(huge, build_sr(3), limit=1000)
 
 
 class TestCheckFingerprint:
