@@ -20,8 +20,8 @@ import sys
 from . import complexity
 from . import vda
 from .errors import CapacityError, SrexprError
-from .expr import DEFAULT_PRIME, literal_count, to_json_text, to_text
-from .graph import Terminal, build_sr, induced_subgraph, sr_path_count, to_dot
+from .expr import DEFAULT_PRIME, to_json_text, to_text
+from .graph import Terminal, basic, build_sr, induced_subgraph, sr_path_count, to_dot
 from .oracle import check_exact, check_fingerprint, check_fingerprint_parameters
 
 SCHEMA_VERSION = 1
@@ -52,11 +52,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
     n = args.n
     if args.sub is not None:
         src, dst = _parse_terminal_pair(args.sub)
-        expr = vda.expression(n, vda.SubExprKey(src, dst), rounding=args.rounding)
     else:
-        src, dst = None, None
+        vda.check_size(n)
+        src, dst = basic(1), basic(n)
+    key = vda.SubExprKey(src, dst)
+    count = vda.count_literals(n, key, rounding=args.rounding)
+    if not args.count_only and args.sub is None:
         expr = vda.generate(n, rounding=args.rounding)
-    count = literal_count(expr)
+    elif not args.count_only:
+        expr = vda.expression(n, key, rounding=args.rounding)
     separator = "" if args.juxtapose else "*"
     if args.output == "json":
         payload: dict = {"schema_version": SCHEMA_VERSION, "n": n, "literals": count}
@@ -122,7 +126,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     for n in range(first, last + 1):
         fda, cda, ifda, reference_vda = complexity.REFERENCE_COMPARISON_TABLE[n]
         from_recurrence = complexity.sr_count(n)
-        from_generation = literal_count(vda.generate(n))
+        from_generation = vda.count_literals(n, vda.SubExprKey(basic(1), basic(n)))
         agree = agree and from_recurrence == from_generation == reference_vda
         rows.append(
             {
@@ -146,8 +150,8 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_closed_form(args: argparse.Namespace) -> int:
-    if args.k < 2:
-        raise SrexprError(f"--k must be >= 2, got {args.k}")
+    if not 2 <= args.k < vda.MAX_SIZE.bit_length():
+        raise SrexprError(f"--k must be >= 2 and < {vda.MAX_SIZE.bit_length()}, got {args.k}")
     n = 1 << args.k
     from_formula = complexity.closed_form(n)
     from_recurrence = (

@@ -5,14 +5,14 @@ square rhomboid, the single-leaf variants (all four orientations share one
 count), and the dipterous variants (trapezoidal and parallelogram counts
 coincide for sizes above 2 and split into separate bases below).  The
 recursive steps mirror the generator's midpoint splits, so the recurrence
-values must equal the literal counts of generated expressions; tests enforce
-that for sizes up to 64.
+values must equal the "generated" counts, which `vda.count_literals` takes
+from the generator's own recursion without building an expression.
 
 One published base value, the size-6 dipterous count, is inconsistent with
 the rest of the system (it is smaller than the size-5 value).  The recurrence
-here substitutes the value derived from direct generation and
-`discrepancy_report` records both numbers side by side, along with the
-letter-swapped size-2 trapezoid base forms that fail the path-set oracle.
+here substitutes the generator's value, and `discrepancy_report` records
+both side by side, along with the letter-swapped size-2 trapezoid base forms
+that fail the path-set oracle.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from .errors import DomainError, IntegrityError, InvalidSizeError
 from .expr import literal_count, to_text
 from .graph import basic, build_sr, induced_subgraph, lower, upper
 from .oracle import check_exact
-from .vda import (
-    SubExprKey,
-    base_expression,
-    expression,
-    generate,
-    reference_trap_base_variant,
-)
+from .vda import SubExprKey, base_expression, count_literals, reference_trap_base_variant
 
 # Published base values for the recurrence system.
 REFERENCE_SR_BASES = {1: 0, 2: 5}
@@ -83,11 +77,10 @@ class ComplexityRow:
     dipterous_trapezoidal: int | None = None
 
 
-@lru_cache(maxsize=None)
 def derived_dipterous_count(size: int) -> int:
-    """Dipterous literal count taken from direct generation (trapezoidal
+    """Dipterous literal count taken from the generator (trapezoidal
     orientation; equal to the parallelogram count for sizes above 2)."""
-    return literal_count(expression(size + 2, SubExprKey(upper(1), upper(size + 1))))
+    return count_literals(size + 2, SubExprKey(upper(1), upper(size + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -205,12 +198,11 @@ def asymptotic_check(samples: Iterable[int]) -> list[Fraction]:
 
 
 def generated_counts(n: int) -> tuple[int, int, int]:
-    """Literal counts of freshly generated expressions at size n: whole
-    graph, single-leaf, dipterous (trapezoidal orientation for n <= 2)."""
-    whole = literal_count(generate(n))
-    single = literal_count(expression(n + 1, SubExprKey(basic(1), upper(n))))
-    dipterous = literal_count(expression(n + 2, SubExprKey(upper(1), upper(n + 1))))
-    return whole, single, dipterous
+    """Literal counts of the generator's expressions at size n: whole graph,
+    single-leaf, dipterous (trapezoidal orientation for n <= 2)."""
+    whole = count_literals(n, SubExprKey(basic(1), basic(n)))
+    single = count_literals(n + 1, SubExprKey(basic(1), upper(n)))
+    return whole, single, derived_dipterous_count(n)
 
 
 def discrepancy_report() -> dict:

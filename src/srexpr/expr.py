@@ -95,12 +95,20 @@ def make_product(children: Iterable[Expr]) -> Expr:
     return flat[0] if len(flat) == 1 else Prod(tuple(flat))
 
 
+@lru_cache(maxsize=None)
+def make_lit(letter: str, index: int) -> Lit:
+    """Interned literal: one Lit per edge label."""
+    return Lit(make_label(letter, index))
+
+
 class ConsTable:
-    """Hash-consing `make_sum` and `make_product`: a sum or product of a type
-    and (identical) children already built here is that node.  The child ids
-    in the keys stay valid: the table keeps its nodes alive."""
+    """Hash-consing `make_sum` and `make_product`, and the generator's build
+    algebra: a sum or product of a type and (identical) children already built
+    here is that node.  The table keeps its nodes alive, so key ids stay valid."""
 
     __slots__ = ("_nodes",)
+    lit = staticmethod(make_lit)
+    one = ONE
 
     def __init__(self) -> None:
         self._nodes: dict[tuple, Expr] = {}
@@ -119,12 +127,6 @@ class ConsTable:
         if node is None:
             node = self._nodes[key] = cls(tuple(flat))
         return node
-
-
-@lru_cache(maxsize=None)
-def make_lit(letter: str, index: int) -> Lit:
-    """Interned literal: one Lit per edge label."""
-    return Lit(make_label(letter, index))
 
 
 def lit(text: str) -> Lit:
@@ -156,23 +158,13 @@ EMPTY_MONOMIAL = Monomial(())
 def literal_count(e: Expr) -> int:
     """Literal occurrences in `e` written out in full (a shared subterm
     counts once per occurrence)."""
-    memo: dict[int, int] = {}
-
-    def count(node: Expr) -> int:
-        key = id(node)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, Lit):
-            result = 1
-        elif isinstance(node, One):
-            result = 0
-        else:
-            result = sum(count(child) for child in node.children)
-        memo[key] = result
-        return result
-
-    return count(e)
+    program = compile_program(e)
+    children = program.children
+    return _fold(
+        program,
+        lambda label: 0 if label is None else 1,
+        lambda k, values: sum([values[slot] for slot in children[k]]),
+    )
 
 
 def expansion_size(e: Expr) -> int:
@@ -372,8 +364,12 @@ def to_json(e: Expr) -> dict:
 
 
 def from_json(obj: dict) -> Expr:
-    """Inverse of `to_json`, renormalized; a payload not of that shape raises
-    MalformedExpressionError."""
+    """Inverse of `to_json`, renormalized and hash-consed (a repeated subterm is
+    one node); a payload not of that shape raises MalformedExpressionError."""
+    return _from_json(obj, ConsTable())
+
+
+def _from_json(obj, h: ConsTable) -> Expr:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedExpressionError(f"malformed expression node: {obj!r}")
     (kind, value), = obj.items()
@@ -391,6 +387,6 @@ def from_json(obj: dict) -> Expr:
     if kind in ("sum", "prod"):
         if not isinstance(value, list) or (kind == "sum" and not value):
             raise MalformedExpressionError(f"malformed {kind} node: {value!r}")
-        children = [from_json(child) for child in value]
-        return make_sum(children) if kind == "sum" else make_product(children)
+        children = [_from_json(child, h) for child in value]
+        return h.sum(children) if kind == "sum" else h.product(children)
     raise MalformedExpressionError(f"unknown expression node: {obj!r}")

@@ -11,13 +11,13 @@ bridging upper edge c_(i-1), or through the bridging lower edge a_(i-1), so
 
 with the split vertex chosen at the midpoint: i = ceil((p+q)/2) for families
 with a basic endpoint, i = ceil((p+q+1)/2) for the dipterous families (floor
-is available as a config knob; the literal counts match either way).
+is available through `rounding`; the literal counts match either way).
 
 Swapping the upper and lower rows (e<->d, c<->a, b fixed) maps a square
 rhomboid onto itself, and every lower-orientation family onto its upper
 partner.  So each base shape is written once, for the upper orientation, as a
-builder taking that orientation's literal makers (e, d, c, a); the lower
-orientation is the same builder called with (d, e, a, c).
+builder taking that orientation's letters (e, d, c, a); the lower orientation
+is the same builder called with (d, e, a, c).
 
 The two size-2 trapezoidal base expressions circulate in a letter-swapped
 form, each with the second addend of the other orientation, which names edges
@@ -26,18 +26,25 @@ against the path-sum oracle.  The swapped variants are kept
 (`reference_trap_base_variant`) so the discrepancy report can demonstrate the
 inconsistency.
 
-Generation is a pure function of (n, src, dst, rounding).  Each call to
-`expression` owns its memo (keyed by the two terminals' sort ordinals) and
-its hash-consing table, and drops both when it returns, so concurrent calls
-are independent; only the per-label Lit cache of `make_lit` is shared.
+The recursion is written once and reaches literals, the unit, sums and
+products only through an algebra `h` (the fold of Meijer, Fokkinga and
+Paterson, "Functional programming with bananas, lenses, envelopes and barbed
+wire", 1991).  `expression` builds in a `ConsTable`, memoized by terminal
+position; each call owns its memo and table, so concurrent calls are
+independent.  `count_literals` counts (a literal 1, the unit 0, a sum or
+product the sum of its operands), memoized by shape: the two terminals' rows
+and index distance.  That is sound because shifting both endpoints by t
+shifts the split vertex by t, and a base shape uses its position only to pick
+labels; a count of SR(n) takes O(log n) steps and builds no expression.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import BaseCaseExpectedError, InvalidSizeError, RangeError
-from .expr import ConsTable, Expr, Lit, ONE, make_lit
+from .expr import ConsTable, Expr
 from .graph import (
     Family,
     SubgraphKind,
@@ -50,120 +57,105 @@ from .graph import (
 )
 
 
+# The largest size accepted.  The recursions take one or two stack frames per bit
+# of the size: at closed-form's n = 2**256 they use half the default limit.
+MAX_SIZE = (1 << 257) - 1
+
+
 @dataclass(frozen=True)
 class SubExprKey:
-    """Terminal pair identifying one subexpression; the memoization key."""
+    """Terminal pair identifying one subexpression."""
 
     src: Terminal
     dst: Terminal
 
 
-def _e(i: int) -> Lit:
-    return make_lit("e", i)
+# Letters of the two orientations, in builder argument order (e, d, c, a).
+_UPPER = ("e", "d", "c", "a")
+_LOWER = ("d", "e", "a", "c")
 
 
-def _d(i: int) -> Lit:
-    return make_lit("d", i)
-
-
-def _a(i: int) -> Lit:
-    return make_lit("a", i)
-
-
-def _b(i: int) -> Lit:
-    return make_lit("b", i)
-
-
-def _c(i: int) -> Lit:
-    return make_lit("c", i)
-
-
-# Literal makers of the two orientations, in builder argument order (e, d, c, a).
-_UPPER = (_e, _d, _c, _a)
-_LOWER = (_d, _e, _a, _c)
-
-
-def _sr_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
+def _sr_size2(h, p: int, e, d, c, a):
     # b_p + e_(2p-1) e_(2p) + d_(2p-1) d_(2p)
     return h.sum(
         [
-            _b(p),
-            h.product([e(2 * p - 1), e(2 * p)]),
-            h.product([d(2 * p - 1), d(2 * p)]),
+            h.lit("b", p),
+            h.product([h.lit(e, 2 * p - 1), h.lit(e, 2 * p)]),
+            h.product([h.lit(d, 2 * p - 1), h.lit(d, 2 * p)]),
         ]
     )
 
 
-def _trap_size1(h: ConsTable, p: int, e, d, c, a) -> Expr:
+def _trap_size1(h, p: int, e, d, c, a):
     # c_p + e_(2p) e_(2p+1)
-    return h.sum([c(p), h.product([e(2 * p), e(2 * p + 1)])])
+    return h.sum([h.lit(c, p), h.product([h.lit(e, 2 * p), h.lit(e, 2 * p + 1)])])
 
 
-def _sl_basic_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
+def _sl_basic_size2(h, p: int, e, d, c, a):
     # (b_p + d_(2p-1) d_(2p)) e_(2p+1) + e_(2p-1) (c_p + e_(2p) e_(2p+1))
-    left = h.sum([_b(p), h.product([d(2 * p - 1), d(2 * p)])])
+    left = h.sum([h.lit("b", p), h.product([h.lit(d, 2 * p - 1), h.lit(d, 2 * p)])])
     return h.sum(
         [
-            h.product([left, e(2 * p + 1)]),
-            h.product([e(2 * p - 1), _trap_size1(h, p, e, d, c, a)]),
+            h.product([left, h.lit(e, 2 * p + 1)]),
+            h.product([h.lit(e, 2 * p - 1), _trap_size1(h, p, e, d, c, a)]),
         ]
     )
 
 
-def _sl_to_basic_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
+def _sl_to_basic_size2(h, p: int, e, d, c, a):
     # (c_p + e_(2p) e_(2p+1)) e_(2p+2) + e_(2p) (b_(p+1) + d_(2p+1) d_(2p+2))
-    right = h.sum([_b(p + 1), h.product([d(2 * p + 1), d(2 * p + 2)])])
+    right = h.sum([h.lit("b", p + 1), h.product([h.lit(d, 2 * p + 1), h.lit(d, 2 * p + 2)])])
     return h.sum(
         [
-            h.product([_trap_size1(h, p, e, d, c, a), e(2 * p + 2)]),
-            h.product([e(2 * p), right]),
+            h.product([_trap_size1(h, p, e, d, c, a), h.lit(e, 2 * p + 2)]),
+            h.product([h.lit(e, 2 * p), right]),
         ]
     )
 
 
-def _trap_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
+def _trap_size2(h, p: int, e, d, c, a):
     # e_(2p) (b_(p+1) + d_(2p+1) d_(2p+2)) e_(2p+3)
     #   + (c_p + e_(2p) e_(2p+1)) (c_(p+1) + e_(2p+2) e_(2p+3))
-    middle = h.sum([_b(p + 1), h.product([d(2 * p + 1), d(2 * p + 2)])])
+    middle = h.sum([h.lit("b", p + 1), h.product([h.lit(d, 2 * p + 1), h.lit(d, 2 * p + 2)])])
     return h.sum(
         [
-            h.product([e(2 * p), middle, e(2 * p + 3)]),
+            h.product([h.lit(e, 2 * p), middle, h.lit(e, 2 * p + 3)]),
             h.product([_trap_size1(h, p, e, d, c, a), _trap_size1(h, p + 1, e, d, c, a)]),
         ]
     )
 
 
-def _para_size2(h: ConsTable, p: int, e, d, c, a) -> Expr:
+def _para_size2(h, p: int, e, d, c, a):
     # e_(2p) (b_(p+1) d_(2p+3) + d_(2p+1) (a_(p+1) + d_(2p+2) d_(2p+3)))
     #   + (c_p + e_(2p) e_(2p+1)) e_(2p+2) d_(2p+3)
     inner = h.sum(
         [
-            h.product([_b(p + 1), d(2 * p + 3)]),
-            h.product([d(2 * p + 1), _trap_size1(h, p + 1, d, e, a, c)]),
+            h.product([h.lit("b", p + 1), h.lit(d, 2 * p + 3)]),
+            h.product([h.lit(d, 2 * p + 1), _trap_size1(h, p + 1, d, e, a, c)]),
         ]
     )
     return h.sum(
         [
-            h.product([e(2 * p), inner]),
-            h.product([_trap_size1(h, p, e, d, c, a), e(2 * p + 2), d(2 * p + 3)]),
+            h.product([h.lit(e, 2 * p), inner]),
+            h.product([_trap_size1(h, p, e, d, c, a), h.lit(e, 2 * p + 2), h.lit(d, 2 * p + 3)]),
         ]
     )
 
 
-def _sl_basic_size1(h: ConsTable, p: int, e, d, c, a) -> Expr:
-    return e(2 * p - 1)
+def _sl_basic_size1(h, p: int, e, d, c, a):
+    return h.lit(e, 2 * p - 1)
 
 
-def _sl_to_basic_size1(h: ConsTable, p: int, e, d, c, a) -> Expr:
-    return e(2 * p)
+def _sl_to_basic_size1(h, p: int, e, d, c, a):
+    return h.lit(e, 2 * p)
 
 
-def _para_size1(h: ConsTable, p: int, e, d, c, a) -> Expr:
-    return h.product([e(2 * p), d(2 * p + 1)])
+def _para_size1(h, p: int, e, d, c, a):
+    return h.product([h.lit(e, 2 * p), h.lit(d, 2 * p + 1)])
 
 
 _BASE_BUILDERS = {
-    (Family.SR, 1): (lambda h, p, e, d, c, a: ONE, _UPPER),
+    (Family.SR, 1): (lambda h, p, e, d, c, a: h.one, _UPPER),
     (Family.SR, 2): (_sr_size2, _UPPER),
     (Family.SL_BASIC_UPPER, 1): (_sl_basic_size1, _UPPER),
     (Family.SL_BASIC_LOWER, 1): (_sl_basic_size1, _LOWER),
@@ -184,7 +176,7 @@ _BASE_BUILDERS = {
 }
 
 
-def _base(h: ConsTable, src: Terminal, dst: Terminal, kind: SubgraphKind) -> Expr:
+def _base(h, src: Terminal, dst: Terminal, kind: SubgraphKind):
     entry = _BASE_BUILDERS.get((kind.family, kind.size))
     if entry is None:
         raise BaseCaseExpectedError(f"{src}->{dst} (size {kind.size}) is not a base case")
@@ -242,7 +234,17 @@ def choose_split(kind: SubgraphKind, p: int, q: int, rounding: str = "ceil") -> 
     return i
 
 
-def _validate_key(n: int, key: SubExprKey) -> None:
+def check_size(n: int) -> None:
+    """Raise InvalidSizeError unless 1 <= n <= MAX_SIZE."""
+    if n < 1:
+        raise InvalidSizeError(f"square rhomboid size must be >= 1, got {n}")
+    if n > MAX_SIZE:
+        bits = MAX_SIZE.bit_length()
+        raise InvalidSizeError(f"size must be < 2**{bits}, got a {n.bit_length()}-bit size")
+
+
+def _validate(n: int, key: SubExprKey) -> None:
+    check_size(n)
     for terminal in (key.src, key.dst):
         bound = n if terminal.kind is TerminalKind.BASIC else n - 1
         if not 1 <= terminal.index <= bound:
@@ -250,24 +252,29 @@ def _validate_key(n: int, key: SubExprKey) -> None:
     classify(key.src, key.dst)  # raises OrderingError for an empty span
 
 
-def _build(
-    src: Terminal,
-    dst: Terminal,
-    rounding: str,
-    memo: dict[tuple[int, int], Expr] | None,
-    h: ConsTable,
-) -> Expr:
-    """E(src, dst), by base case or midpoint split.
+def _position(src: Terminal, dst: Terminal) -> tuple[int, int]:
+    return src.sort_ordinal, dst.sort_ordinal
+
+
+def _shape(src: Terminal, dst: Terminal) -> tuple:
+    return src.kind, dst.kind, dst.index - src.index
+
+
+# The count algebra: a literal counts 1, the unit 0, sums and products add.
+_COUNT = SimpleNamespace(lit=lambda letter, index: 1, one=0, sum=sum, product=sum)
+
+
+def _build(src: Terminal, dst: Terminal, rounding: str, h, memo: dict, key):
+    """E(src, dst) in the algebra `h`, by base case or midpoint split, memoized by `key`.
 
     A module-level function rather than a closure inside `expression`: a
     closure that calls itself is a reference cycle, which would keep the memo
     and the cons table alive until the next full garbage collection.
     """
-    if memo is not None:
-        memo_key = (src.sort_ordinal, dst.sort_ordinal)
-        hit = memo.get(memo_key)
-        if hit is not None:
-            return hit
+    memo_key = key(src, dst)
+    result = memo.get(memo_key)
+    if result is not None:
+        return result
     kind = classify(src, dst)
     if kind.size <= 2:
         result = _base(h, src, dst, kind)
@@ -277,47 +284,48 @@ def _build(
             [
                 h.product(
                     [
-                        _build(src, basic(i), rounding, memo, h),
-                        _build(basic(i), dst, rounding, memo, h),
+                        _build(src, basic(i), rounding, h, memo, key),
+                        _build(basic(i), dst, rounding, h, memo, key),
                     ]
                 ),
                 h.product(
                     [
-                        _build(src, upper(i - 1), rounding, memo, h),
-                        _c(i - 1),
-                        _build(upper(i), dst, rounding, memo, h),
+                        _build(src, upper(i - 1), rounding, h, memo, key),
+                        h.lit("c", i - 1),
+                        _build(upper(i), dst, rounding, h, memo, key),
                     ]
                 ),
                 h.product(
                     [
-                        _build(src, lower(i - 1), rounding, memo, h),
-                        _a(i - 1),
-                        _build(lower(i), dst, rounding, memo, h),
+                        _build(src, lower(i - 1), rounding, h, memo, key),
+                        h.lit("a", i - 1),
+                        _build(lower(i), dst, rounding, h, memo, key),
                     ]
                 ),
             ]
         )
-    if memo is not None:
-        memo[memo_key] = result
+    memo[memo_key] = result
     return result
 
 
-def expression(n: int, key: SubExprKey, rounding: str = "ceil", memoize: bool = True) -> Expr:
+def expression(n: int, key: SubExprKey, rounding: str = "ceil") -> Expr:
     """Factored expression for the subgraph of SR(n) between key.src and key.dst."""
-    if n < 1:
-        raise InvalidSizeError(f"square rhomboid size must be >= 1, got {n}")
-    _validate_key(n, key)
-    memo: dict[tuple[int, int], Expr] | None = {} if memoize else None
-    return _build(key.src, key.dst, rounding, memo, ConsTable())
+    _validate(n, key)
+    return _build(key.src, key.dst, rounding, ConsTable(), {}, _position)
 
 
-def generate(n: int, rounding: str = "ceil", memoize: bool = True) -> Expr:
+def count_literals(n: int, key: SubExprKey, rounding: str = "ceil") -> int:
+    """`literal_count(expression(n, key, rounding))`, without building it."""
+    _validate(n, key)
+    return _build(key.src, key.dst, rounding, _COUNT, {}, _shape)
+
+
+def generate(n: int, rounding: str = "ceil") -> Expr:
     """Factored expression of the whole square rhomboid of size n.
 
     The result is algebraically equivalent to the sum over all source-to-sink
     paths of the product of edge labels along the path; the `oracle` module
     checks that equivalence independently.
     """
-    if n < 1:
-        raise InvalidSizeError(f"square rhomboid size must be >= 1, got {n}")
-    return expression(n, SubExprKey(basic(1), basic(n)), rounding=rounding, memoize=memoize)
+    check_size(n)
+    return expression(n, SubExprKey(basic(1), basic(n)), rounding=rounding)

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from srexpr import from_json, generate, literal_count, lit, make_product, make_sum, to_json, to_text
 from srexpr.cli import main
 from srexpr.graph import Terminal
-from srexpr.vda import SubExprKey, expression
+from srexpr.vda import MAX_SIZE, SubExprKey, expression
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -231,6 +235,40 @@ class TestClosedForm:
 
     def test_small_k_exits_2(self, capsys):
         assert run(capsys, "closed-form", "--k", "1")[0] == 2
+
+
+class TestSizeBound:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("closed-form", "--k", str(MAX_SIZE.bit_length())),
+            ("closed-form", "--k", "100000"),
+            ("gen", str(2**2000), "--count-only"),
+            ("gen", str(MAX_SIZE + 1), "--count-only"),
+        ],
+        ids=["k-past-bound", "k-100000", "gen-2**2000", "gen-past-bound"],
+    )
+    def test_past_the_bound_exits_2_at_once(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and str(MAX_SIZE.bit_length()) in err
+
+    def test_largest_k_succeeds_from_a_cold_start(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        k = str(MAX_SIZE.bit_length() - 1)
+        done = subprocess.run(
+            [sys.executable, "-m", "srexpr.cli", "closed-form", "--k", k],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().endswith("match")
+
+    def test_largest_size_counts(self, capsys):
+        code, out, _ = run(capsys, "gen", str(MAX_SIZE), "--count-only")
+        assert code == 0 and int(out) > 0
 
 
 class TestDot:

@@ -34,7 +34,7 @@ from srexpr import (
     to_text,
 )
 from srexpr.expr import compile_program, to_json_text
-from srexpr.graph import Terminal, path_count
+from srexpr.graph import Terminal, lower, path_count, upper
 from srexpr.vda import SubExprKey, expression
 
 
@@ -338,6 +338,15 @@ class TestJson:
     def test_round_trip(self, n):
         e = generate(n)
         assert from_json(json.loads(json.dumps(to_json(e)))) == e
+
+    @pytest.mark.parametrize(
+        "e",
+        [generate(16), generate(64), expression(40, SubExprKey(upper(3), lower(37)))],
+        ids=["sr16", "sr64", "u3-l37"],
+    )
+    def test_round_trip_keeps_sharing(self, e):
+        rebuilt = from_json(to_json(e))
+        assert len(compile_program(rebuilt).children) == len(compile_program(e).children)
 
     def test_malformed_rejected(self):
         malformed = (

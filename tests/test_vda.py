@@ -23,6 +23,8 @@ from srexpr import (
     build_sr,
     choose_split,
     classify,
+    closed_form,
+    dipterous_count,
     enumerate_paths,
     expand,
     expression,
@@ -31,11 +33,15 @@ from srexpr import (
     literal_count,
     lower,
     reference_trap_base_variant,
+    single_leaf_count,
+    sr_count,
     to_text,
     upper,
 )
+from srexpr.cli import main
 from srexpr.expr import iter_expansion, to_json_text
 from srexpr.graph import _iter_path_labels
+from srexpr.vda import count_literals
 
 GOLDEN_SR3 = "(b1+e1*e2+d1*d2)*(b2+e3*e4+d3*d4)+e1*c1*e4+d1*a1*d4"
 
@@ -239,10 +245,6 @@ class TestGenerate:
             e = generate(n, rounding="floor")
             assert Counter(expand(e)) == Counter(enumerate_paths(build_sr(n)))
 
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_memoization_transparent(self, n):
-        assert generate(n) == generate(n, memoize=False)
-
     def test_whole_graph_key_equals_generate(self):
         assert expression(6, SubExprKey(basic(1), basic(6))) == generate(6)
 
@@ -390,3 +392,47 @@ class TestHashConsing:
             if func[2] == "__hash__" and func[0].endswith("enum.py")
         }
         assert calls == {}
+
+
+class TestCountLiterals:
+    """The count algebra against `literal_count` of the built expression."""
+
+    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
+    def test_every_sr20_pair(self, rounding):
+        for src, dst in terminal_pairs(build_sr(20)):
+            key = SubExprKey(src, dst)
+            expected = literal_count(expression(20, key, rounding))
+            assert count_literals(20, key, rounding) == expected, key
+
+    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
+    def test_whole_graph(self, rounding):
+        for n in range(1, 65):
+            key = SubExprKey(basic(1), basic(n))
+            assert count_literals(n, key, rounding) == literal_count(generate(n, rounding)), n
+
+    def test_large_size_matches_closed_form_and_recurrences(self):
+        n = 2**70
+        counts = (
+            count_literals(n, SubExprKey(basic(1), basic(n))),
+            count_literals(n + 1, SubExprKey(basic(1), upper(n))),
+            count_literals(n + 2, SubExprKey(upper(1), upper(n + 1))),
+        )
+        assert counts == closed_form(n)
+        assert counts == (sr_count(n), single_leaf_count(n), dipterous_count(n))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "4096", "--count-only"),
+            ("gen", "4096", "--count-only", "--sub", "u5,l900", "--output", "json"),
+            ("table",),
+            ("closed-form", "--k", "70"),
+        ],
+    )
+    def test_cli_counts_build_nothing(self, capsys, monkeypatch, argv):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a count built an expression")
+
+        for name in ("expression", "generate", "ConsTable"):
+            monkeypatch.setattr(f"srexpr.vda.{name}", forbidden)
+        assert main(list(argv)) == 0, capsys.readouterr().err
