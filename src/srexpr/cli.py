@@ -57,10 +57,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
         src, dst = basic(1), basic(n)
     key = vda.SubExprKey(src, dst)
     count = vda.count_literals(n, key, rounding=args.rounding)
-    if not args.count_only and args.sub is None:
-        expr = vda.generate(n, rounding=args.rounding)
-    elif not args.count_only:
-        expr = vda.expression(n, key, rounding=args.rounding)
+    if not args.count_only:
+        program = vda.program(n, key, rounding=args.rounding)
     separator = "" if args.juxtapose else "*"
     if args.output == "json":
         payload: dict = {"schema_version": SCHEMA_VERSION, "n": n, "literals": count}
@@ -72,18 +70,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
         else:
             # The AST goes in last, spliced into the payload's text rather
             # than built as a dict tree: the layout is json.dumps(indent=2).
-            payload["expression"] = to_text(expr, separator)
+            payload["expression"] = to_text(program, separator)
             head = json.dumps(payload, indent=2)
             sys.stdout.write(head[: -len("\n}")])
             sys.stdout.write(',\n  "ast": ')
-            ast_text = to_json_text(expr)
+            ast_text = to_json_text(program)
             for start in range(0, len(ast_text), _CHUNK):
                 sys.stdout.write(ast_text[start : start + _CHUNK].replace("\n", "\n  "))
             sys.stdout.write("\n}\n")
     elif args.count_only:
         print(count)
     else:
-        print(to_text(expr, separator))
+        print(to_text(program, separator))
         print(f"literals: {count}")
     return 0
 
@@ -99,13 +97,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise CapacityError(
             f"SR({args.n}) has more paths than the limit {args.limit}; use the fingerprint check"
         )
+    vda.check_size(args.n)
+    program = vda.program(args.n, vda.SubExprKey(basic(1), basic(args.n)), args.rounding)
     graph = build_sr(args.n)
-    expr = vda.generate(args.n, rounding=args.rounding)
     if args.mode == "exact":
-        report = check_exact(expr, graph, limit=args.limit)
+        report = check_exact(program, graph, limit=args.limit)
     else:
         report = check_fingerprint(
-            expr, graph, trials=args.trials, seed=args.seed, prime=args.prime
+            program, graph, trials=args.trials, seed=args.seed, prime=args.prime
         )
     if args.output == "json":
         _emit_json({"schema_version": SCHEMA_VERSION, **report.to_json()})

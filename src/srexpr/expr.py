@@ -1,17 +1,21 @@
-"""Expression ASTs over edge-label literals.
+"""Expression ASTs over edge-label literals, and their slot tables.
 
 Sums and products of literals, plus the unit One of the empty subgraph.
 Nodes are immutable; `make_sum` / `make_product` flatten nested nodes of the
 same type, drop One from products and collapse single children, so every
 Sum/Prod has two or more children and printed text is one-to-one with ASTs.
 
-Construction is hash-consed (Filliatre & Conchon, "Type-safe modular
-hash-consing", 2006): one Lit per label (`make_lit`), one node per (type,
-flattened children) in a `ConsTable`.  Literals are counted per occurrence.
+A `Program` is an expression as a table of its distinct nodes, one integer
+slot each.  The generator and `from_json` build straight into that table
+with a `ProgramBuilder`, which applies the same normalization to slots and
+hash-conses them (Filliatre & Conchon, "Type-safe modular hash-consing",
+2006): one slot per label, one per (type, flattened children).  `to_expr`
+turns a table into an Expr with one node per slot; `compile_program` lowers
+any Expr to a table.  Literals are counted per occurrence.
 
-`compile_program` lowers an expression to a `Program`, a table of its
-distinct nodes.  Evaluation is a flat loop over it; `to_text` and
-`to_json_text` render each distinct node once over it.
+Evaluation is a flat loop over the table; `to_text`, `to_json_text` and the
+other folds render or count each distinct node once over it, and take an
+Expr or a Program alike.
 """
 
 from __future__ import annotations
@@ -101,34 +105,6 @@ def make_lit(letter: str, index: int) -> Lit:
     return Lit(make_label(letter, index))
 
 
-class ConsTable:
-    """Hash-consing `make_sum` and `make_product`, and the generator's build
-    algebra: a sum or product of a type and (identical) children already built
-    here is that node.  The table keeps its nodes alive, so key ids stay valid."""
-
-    __slots__ = ("_nodes",)
-    lit = staticmethod(make_lit)
-    one = ONE
-
-    def __init__(self) -> None:
-        self._nodes: dict[tuple, Expr] = {}
-
-    def sum(self, children: Iterable[Expr]) -> Expr:
-        flat = _addends(children)
-        return flat[0] if len(flat) == 1 else self._intern(Sum, flat)
-
-    def product(self, children: Iterable[Expr]) -> Expr:
-        flat = _factors(children)
-        return flat[0] if len(flat) == 1 else self._intern(Prod, flat)
-
-    def _intern(self, cls: type, flat: list[Expr]) -> Expr:
-        key = (cls, *map(id, flat))
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = cls(tuple(flat))
-        return node
-
-
 def lit(text: str) -> Lit:
     """Literal from short text, e.g. lit("b1")."""
     label = EdgeLabel.parse(text)
@@ -155,7 +131,7 @@ class Monomial:
 EMPTY_MONOMIAL = Monomial(())
 
 
-def literal_count(e: Expr) -> int:
+def literal_count(e: Expr | Program) -> int:
     """Literal occurrences in `e` written out in full (a shared subterm
     counts once per occurrence)."""
     program = compile_program(e)
@@ -167,7 +143,7 @@ def literal_count(e: Expr) -> int:
     )
 
 
-def expansion_size(e: Expr) -> int:
+def expansion_size(e: Expr | Program) -> int:
     """Number of monomials (with multiplicity) in the full expansion."""
     program = compile_program(e)
     is_product, children = program.is_product, program.children
@@ -225,11 +201,12 @@ def expand(e: Expr, limit: int = 10**6) -> list[Monomial]:
 class Program:
     """An expression as a table of slots, one per distinct node.
 
-    Slot k >= 0 is the k-th distinct sum or product in post-order (a product
-    if is_product[k]) over the slots children[k], so children come before
-    parents.  Leaves count from the end: slot -1 is the unit and -(j + 2)
-    labels[j].  The expression is slot `root`.  Not a dataclass: that costs
-    every CLI run 1 ms at import."""
+    Slot k >= 0 is a distinct sum or product (a product if is_product[k])
+    over the slots children[k].  Slots are in children-first order: every
+    child slot is below its parent, which is all a pass over the table needs
+    (the order is not necessarily a DFS post-order).  Leaves count from the
+    end: slot -1 is the unit and -(j + 2) labels[j].  The expression is slot
+    `root`.  Not a dataclass: that costs every CLI run 1 ms at import."""
 
     __slots__ = ("labels", "is_product", "children", "root")
 
@@ -262,9 +239,117 @@ class Program:
         return values[self.root]
 
 
-def compile_program(e: Expr) -> Program:
+class ProgramBuilder:
+    """The build algebra whose values are Program slots: `lit` and `one` are
+    leaf slots, and `sum` / `product` normalize like `make_sum` /
+    `make_product` (through the children of slots already built here) and
+    hash-cons, so a sum or product of a type and children already built is
+    that slot.  `finish` makes the Program of one root."""
+
+    __slots__ = ("_label_slots", "_labels", "_sums", "_products", "is_product", "children")
+    one = -1
+
+    def __init__(self) -> None:
+        self._label_slots: dict[tuple[str, int], int] = {}
+        self._labels: list[EdgeLabel] = []
+        self._sums: dict[tuple[int, ...], int] = {}
+        self._products: dict[tuple[int, ...], int] = {}
+        self.is_product = bytearray()
+        self.children: list[tuple[int, ...]] = []
+
+    def lit(self, letter: str, index: int) -> int:
+        key = (letter, index)
+        slot = self._label_slots.get(key)
+        if slot is None:
+            slot = self._label_slots[key] = -2 - len(self._labels)
+            self._labels.append(make_label(letter, index))
+        return slot
+
+    def sum(self, addends: Iterable[int]) -> int:
+        is_product, children = self.is_product, self.children
+        flat: list[int] = []
+        for slot in addends:
+            if slot >= 0 and not is_product[slot]:
+                flat += children[slot]
+            else:
+                flat.append(slot)
+        if len(flat) < 2:
+            if not flat:
+                raise ValueError("a sum needs at least one addend")
+            return flat[0]
+        key = tuple(flat)
+        slot = self._sums.get(key)
+        if slot is None:
+            slot = self._sums[key] = len(children)
+            children.append(key)
+            is_product.append(0)
+        return slot
+
+    def product(self, factors: Iterable[int]) -> int:
+        is_product, children = self.is_product, self.children
+        flat: list[int] = []
+        for slot in factors:
+            if slot >= 0 and is_product[slot]:
+                flat += children[slot]
+            elif slot != -1:  # the unit drops out
+                flat.append(slot)
+        if len(flat) < 2:
+            return flat[0] if flat else -1  # an empty product is the unit
+        key = tuple(flat)
+        slot = self._products.get(key)
+        if slot is None:
+            slot = self._products[key] = len(children)
+            children.append(key)
+            is_product.append(1)
+        return slot
+
+    def finish(self, root: int) -> Program:
+        """The Program of slot `root`: the slots and labels it reaches, in
+        their building order.  One backward pass marks them (children sit
+        below parents); the rest, such as products flattened into their
+        parents, are dropped and the kept ones renumbered."""
+        children, labels = self.children, self._labels
+        # Marks indexed like Program slots: k for slot k, -(j + 2) for label j.
+        live = bytearray(len(children) + len(labels) + 1)
+        live[root] = 1
+        for k in range(len(children) - 1, -1, -1):
+            if live[k]:
+                for slot in children[k]:
+                    live[slot] = 1
+        kept_labels = [j for j in range(len(labels)) if live[-2 - j]]
+        # The new number of a kept slot is the count of kept slots below it.
+        renumber = list(itertools.accumulate(live[: len(children)], initial=-1))[1:]
+        renumber += [0] * len(labels) + [-1]
+        for new, j in enumerate(kept_labels):
+            renumber[-2 - j] = -2 - new
+        at = renumber.__getitem__
+        return Program(
+            tuple([labels[j] for j in kept_labels]),
+            bytes(itertools.compress(self.is_product, live)),
+            tuple([tuple(map(at, slots)) for slots in itertools.compress(children, live)]),
+            at(root),
+        )
+
+
+def to_expr(program: Program) -> Expr:
+    """The expression of `program`, one node per slot (hash-consed as the
+    table is); labels become the interned literals of `make_lit`."""
+    nodes: list[Expr] = [ONE] * len(program.children)
+    nodes += [make_lit(label.letter, label.index) for label in reversed(program.labels)]
+    nodes.append(ONE)
+    node_at = nodes.__getitem__
+    slot = 0
+    for is_product, slots in zip(program.is_product, program.children):
+        nodes[slot] = (Prod if is_product else Sum)(tuple(map(node_at, slots)))
+        slot += 1
+    return nodes[program.root]
+
+
+def compile_program(e: Expr | Program) -> Program:
     """Lower `e` to a Program: a slot per distinct label and per distinct (by
-    identity) sum or product."""
+    identity) sum or product, in post-order.  A Program is returned as it is."""
+    if isinstance(e, Program):
+        return e
     label_slots: dict[EdgeLabel, int] = {}
     slot_of: dict[int, int] = {}
     is_product = bytearray()
@@ -289,7 +374,9 @@ def compile_program(e: Expr) -> Program:
     return Program(tuple(label_slots), bytes(is_product), tuple(children), root)
 
 
-def evaluate(e: Expr, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME) -> int:
+def evaluate(
+    e: Expr | Program, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME
+) -> int:
     """Value of `e` modulo `prime`; a label missing from `assignment` raises
     UnboundLabelError.  For many points, use `compile_program(e).run`."""
     return compile_program(e).run(assignment, prime)
@@ -297,7 +384,7 @@ def evaluate(e: Expr, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_
 
 def _fold(program: Program, leaf, node):
     """The root's value: `leaf(label)` (None for the unit) at the leaves,
-    `node(k, values)` at slot k in post-order, dropping values after their
+    `node(k, values)` at slot k in slot order, dropping values after their
     last use."""
     children = program.children
     last_use = {slot: k for k, slots in enumerate(children) for slot in slots}
@@ -310,7 +397,7 @@ def _fold(program: Program, leaf, node):
     return values[program.root]
 
 
-def to_text(e: Expr, product_separator: str = "*") -> str:
+def to_text(e: Expr | Program, product_separator: str = "*") -> str:
     """Infix rendering: `+` between addends, factors joined by the separator,
     parentheses exactly around sum factors.  Pass "" to juxtapose factors."""
     program = compile_program(e)
@@ -328,7 +415,7 @@ def to_text(e: Expr, product_separator: str = "*") -> str:
     return _fold(program, lambda label: "1" if label is None else str(label), node)
 
 
-def to_json_text(e: Expr) -> str:
+def to_json_text(e: Expr | Program) -> str:
     """`json.dumps(to_json(e), indent=2)`.  A node below the root keeps its
     text indented as a list item, so a shared node is re-indented once."""
     program = compile_program(e)
@@ -366,10 +453,11 @@ def to_json(e: Expr) -> dict:
 def from_json(obj: dict) -> Expr:
     """Inverse of `to_json`, renormalized and hash-consed (a repeated subterm is
     one node); a payload not of that shape raises MalformedExpressionError."""
-    return _from_json(obj, ConsTable())
+    h = ProgramBuilder()
+    return to_expr(h.finish(_from_json(obj, h)))
 
 
-def _from_json(obj, h: ConsTable) -> Expr:
+def _from_json(obj, h: ProgramBuilder) -> int:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedExpressionError(f"malformed expression node: {obj!r}")
     (kind, value), = obj.items()
@@ -377,13 +465,14 @@ def _from_json(obj, h: ConsTable) -> Expr:
         if not isinstance(value, str):
             raise MalformedExpressionError(f"a literal must be a label string, got {value!r}")
         try:
-            return lit(value)
+            label = EdgeLabel.parse(value)
         except ValueError as exc:
             raise MalformedExpressionError(str(exc)) from None
+        return h.lit(label.letter, label.index)
     if kind == "one":
         if value is not True:
             raise MalformedExpressionError('the unit node must be {"one": true}')
-        return ONE
+        return h.one
     if kind in ("sum", "prod"):
         if not isinstance(value, list) or (kind == "sum" and not value):
             raise MalformedExpressionError(f"malformed {kind} node: {value!r}")

@@ -155,7 +155,9 @@ class Terminal:
         return _interned_terminal(TerminalKind(m.group(1)), int(m.group(2)))
 
 
-@lru_cache(maxsize=None)
+# Bounded, so a process that counts many sizes does not keep every terminal
+# it touched: counting SR(2**k) for k = 2..256 touches about 165,000.
+@lru_cache(maxsize=1 << 16)
 def _interned_terminal(kind: TerminalKind, index: int) -> Terminal:
     return Terminal(kind, index)
 

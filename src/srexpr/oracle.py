@@ -204,7 +204,7 @@ def _graph_codes(g: LabeledDigraph, code: Mapping[EdgeLabel, int]) -> list[int]:
     return at[g.sink]
 
 
-def check_exact(e: Expr, g: LabeledDigraph, limit: int = 10**6) -> VerificationReport:
+def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> VerificationReport:
     """Pass iff the expansion of `e` equals the path-monomial multiset of `g`
     and contains no duplicate monomials.
 
@@ -224,11 +224,11 @@ def check_exact(e: Expr, g: LabeledDigraph, limit: int = 10**6) -> VerificationR
     n_paths = path_count(g)
     if n_paths > limit:
         raise CapacityError.exceeded(n_paths, "paths", limit, "use the fingerprint check")
-    n_monomials = expansion_size(e)
+    program = compile_program(e)
+    n_monomials = expansion_size(program)
     if n_monomials > limit:
         raise CapacityError.exceeded(n_monomials, "monomials", limit)
 
-    program = compile_program(e)
     is_product, children = program.is_product, program.children
 
     def degree(k, values):
@@ -272,8 +272,10 @@ def _least(codes: list[int], labels: list[EdgeLabel], width: int) -> Monomial:
     return Monomial(tuple(factors))
 
 
-def _assignment_digest(assignment: Mapping[EdgeLabel, int]) -> str:
-    payload = ",".join(f"{label}={assignment[label]}" for label in sorted(assignment))
+def _assignment_digest(names: list[str], values: list[int]) -> str:
+    """Digest of an assignment: `names[i]` is "<label>=" of the i-th label in
+    sorted order and `values[i]` its value."""
+    payload = ",".join(map(str.__add__, names, map(str, values)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -290,7 +292,7 @@ def check_fingerprint_parameters(trials: int, prime: int, degree: int) -> None:
 
 
 def check_fingerprint(
-    e: Expr,
+    e: Expr | Program,
     g: LabeledDigraph,
     trials: int = 10,
     seed: int = 42,
@@ -319,19 +321,21 @@ def check_fingerprint(
     graph_labels = g.labels()
     foreign = sorted(set(program.labels).difference(graph_labels))
     labels = sorted(set(graph_labels).union(program.labels)) if foreign else graph_labels
+    names = [f"{label}=" for label in labels]
     master = SplitMix64(seed)
     transcript: list[dict] = []
     witness = None
     for trial in range(trials):
         trial_seed = master.next_u64()
         rng = SplitMix64(trial_seed)
-        assignment = {label: rng.field_element(prime) for label in labels}
+        values = [rng.field_element(prime) for _ in labels]
+        assignment = dict(zip(labels, values))
         expr_value = program.run(assignment, prime)
         graph_value = dp_eval(g, assignment, prime)
         row = {
             "trial": trial,
             "trial_seed": trial_seed,
-            "assignment_digest": _assignment_digest(assignment),
+            "assignment_digest": _assignment_digest(names, values),
             "expression_value": expr_value,
             "graph_value": graph_value,
         }

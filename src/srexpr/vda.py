@@ -29,13 +29,15 @@ inconsistency.
 The recursion is written once and reaches literals, the unit, sums and
 products only through an algebra `h` (the fold of Meijer, Fokkinga and
 Paterson, "Functional programming with bananas, lenses, envelopes and barbed
-wire", 1991).  `expression` builds in a `ConsTable`, memoized by terminal
-position; each call owns its memo and table, so concurrent calls are
-independent.  `count_literals` counts (a literal 1, the unit 0, a sum or
-product the sum of its operands), memoized by shape: the two terminals' rows
-and index distance.  That is sound because shifting both endpoints by t
-shifts the split vertex by t, and a base shape uses its position only to pick
-labels; a count of SR(n) takes O(log n) steps and builds no expression.
+wire", 1991).  `program` builds straight into the slot table of a
+`ProgramBuilder`, memoized by terminal position, and makes no expression
+nodes; `expression`/`generate` turn that table into an Expr.  Each call owns
+its memo and table, so concurrent calls are independent.  `count_literals`
+counts (a literal 1, the unit 0, a sum or product the sum of its operands),
+memoized by shape: the two terminals' rows and index distance.  That is sound
+because shifting both endpoints by t shifts the split vertex by t, and a base
+shape uses its position only to pick labels; a count of SR(n) takes O(log n)
+steps and builds no expression.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 from .errors import BaseCaseExpectedError, InvalidSizeError, RangeError
-from .expr import ConsTable, Expr
+from .expr import Expr, Program, ProgramBuilder, to_expr
 from .graph import (
     Family,
     SubgraphKind,
@@ -186,7 +188,8 @@ def _base(h, src: Terminal, dst: Terminal, kind: SubgraphKind):
 
 def base_expression(key: SubExprKey) -> Expr:
     """The literal base expression for a size-1 or size-2 subgraph."""
-    return _base(ConsTable(), key.src, key.dst, classify(key.src, key.dst))
+    h = ProgramBuilder()
+    return to_expr(h.finish(_base(h, key.src, key.dst, classify(key.src, key.dst))))
 
 
 def reference_trap_base_variant(key: SubExprKey) -> Expr:
@@ -202,10 +205,10 @@ def reference_trap_base_variant(key: SubExprKey) -> Expr:
     if kind.size != 2 or not kind.is_trapezoidal:
         raise ValueError(f"{key.src}->{key.dst} is not a size-2 trapezoid")
     e, d, c, a = _BASE_BUILDERS[(kind.family, 2)][1]
-    h = ConsTable()
-    first, _ = _trap_size2(h, key.src.index, e, d, c, a).children
-    _, second = _trap_size2(h, key.src.index, d, e, a, c).children
-    return h.sum([first, second])
+    h = ProgramBuilder()
+    first, _ = h.children[_trap_size2(h, key.src.index, e, d, c, a)]
+    _, second = h.children[_trap_size2(h, key.src.index, d, e, a, c)]
+    return to_expr(h.finish(h.sum([first, second])))
 
 
 def choose_split(kind: SubgraphKind, p: int, q: int, rounding: str = "ceil") -> int:
@@ -269,7 +272,7 @@ def _build(src: Terminal, dst: Terminal, rounding: str, h, memo: dict, key):
 
     A module-level function rather than a closure inside `expression`: a
     closure that calls itself is a reference cycle, which would keep the memo
-    and the cons table alive until the next full garbage collection.
+    and the builder alive until the next full garbage collection.
     """
     memo_key = key(src, dst)
     result = memo.get(memo_key)
@@ -308,10 +311,17 @@ def _build(src: Terminal, dst: Terminal, rounding: str, h, memo: dict, key):
     return result
 
 
+def program(n: int, key: SubExprKey, rounding: str = "ceil") -> Program:
+    """The slot table of `expression(n, key, rounding)`, built straight into
+    a `ProgramBuilder` without making an expression node."""
+    _validate(n, key)
+    h = ProgramBuilder()
+    return h.finish(_build(key.src, key.dst, rounding, h, {}, _position))
+
+
 def expression(n: int, key: SubExprKey, rounding: str = "ceil") -> Expr:
     """Factored expression for the subgraph of SR(n) between key.src and key.dst."""
-    _validate(n, key)
-    return _build(key.src, key.dst, rounding, ConsTable(), {}, _position)
+    return to_expr(program(n, key, rounding))
 
 
 def count_literals(n: int, key: SubExprKey, rounding: str = "ceil") -> int:

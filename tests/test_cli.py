@@ -12,6 +12,7 @@ import pytest
 
 from srexpr import from_json, generate, literal_count, lit, make_product, make_sum, to_json, to_text
 from srexpr.cli import main
+from srexpr.expr import compile_program
 from srexpr.graph import Terminal
 from srexpr.vda import MAX_SIZE, SubExprKey, expression
 
@@ -151,6 +152,7 @@ class TestVerify:
             raise AssertionError("generation ran before the flags were checked")
 
         monkeypatch.setattr("srexpr.vda.generate", forbidden)
+        monkeypatch.setattr("srexpr.vda.program", forbidden)
         monkeypatch.setattr("srexpr.cli.build_sr", forbidden)
         for flags in (("--prime", "4"), ("--trials", "0"), ("--prime", "4093")):
             code, out, err = run(capsys, "verify", "2048", "--mode", "fingerprint", *flags)
@@ -166,6 +168,7 @@ class TestVerify:
             raise AssertionError("the graph or the expression was built")
 
         monkeypatch.setattr("srexpr.vda.generate", forbidden)
+        monkeypatch.setattr("srexpr.vda.program", forbidden)
         monkeypatch.setattr("srexpr.cli.build_sr", forbidden)
         for argv in (("verify", "20000"), ("verify", "12", "--limit", "1000000")):
             code, out, err = run(capsys, *argv)
@@ -176,7 +179,7 @@ class TestVerify:
         broken = make_sum(
             [make_product([lit("e1"), lit("e2")]), make_product([lit("d1"), lit("d2")])]
         )
-        monkeypatch.setattr("srexpr.vda.generate", lambda n, rounding="ceil": broken)
+        monkeypatch.setattr("srexpr.vda.program", lambda *args: compile_program(broken))
         code, out, _ = run(capsys, "verify", "2", "--mode", "exact")
         assert code == 1
         assert "b1" in out  # the witness monomial

@@ -198,6 +198,18 @@ class TestEvaluate:
         assert evaluate(Prod(()), assignment) == 1
         assert evaluate(Sum((ONE, lit("b1"))), assignment) == 6
 
+    def test_hand_built_nodes_compile(self):
+        b1 = EdgeLabel("b", 1)
+        cases = [
+            (Sum(()), ((),), 0),
+            (Prod(()), ((),), 1),
+            (Sum((ONE, lit("b1"))), ((-1, -2),), 6),
+        ]
+        for node, children, value in cases:
+            program = compile_program(node)
+            assert (program.children, program.root) == (children, 0)
+            assert program.run({b1: 5}) == value
+
     def test_program_has_one_slot_per_distinct_label_and_node(self):
         program = compile_program(generate(64))
         assert sorted(program.labels) == list(build_sr(64).labels())

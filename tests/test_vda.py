@@ -39,9 +39,9 @@ from srexpr import (
     upper,
 )
 from srexpr.cli import main
-from srexpr.expr import iter_expansion, to_json_text
-from srexpr.graph import _iter_path_labels
-from srexpr.vda import count_literals
+from srexpr.expr import Program, ProgramBuilder, compile_program, iter_expansion, to_json_text
+from srexpr.graph import _interned_terminal, _iter_path_labels
+from srexpr.vda import count_literals, program
 
 GOLDEN_SR3 = "(b1+e1*e2+d1*d2)*(b2+e3*e4+d3*d4)+e1*c1*e4+d1*a1*d4"
 
@@ -433,6 +433,97 @@ class TestCountLiterals:
         def forbidden(*args, **kwargs):
             raise AssertionError("a count built an expression")
 
-        for name in ("expression", "generate", "ConsTable"):
+        for name in ("expression", "generate", "program", "ProgramBuilder"):
             monkeypatch.setattr(f"srexpr.vda.{name}", forbidden)
+        assert main(list(argv)) == 0, capsys.readouterr().err
+
+    def test_terminal_cache_stays_bounded(self):
+        # Counting SR(2**k) touches more terminals than the cache may hold.
+        _interned_terminal.cache_clear()
+        for k in range(2, 257, 2):
+            count_literals(2**k, SubExprKey(basic(1), basic(2**k)))
+        info = _interned_terminal.cache_info()
+        assert info.misses > info.maxsize == 1 << 16
+        assert info.currsize <= info.maxsize
+
+
+def program_profile(p):
+    return to_text(p), literal_count(p), len(p.children), sorted(p.labels)
+
+
+class TestProgram:
+    """`program` builds the table that `compile_program(expression(...))` lowers."""
+
+    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
+    def test_whole_graph(self, rounding):
+        for n in range(1, 65):
+            built = program(n, SubExprKey(basic(1), basic(n)), rounding)
+            assert isinstance(built, Program)
+            expected = program_profile(compile_program(generate(n, rounding)))
+            assert program_profile(built) == expected, n
+
+    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
+    def test_every_sr12_pair(self, rounding):
+        for src, dst in terminal_pairs(build_sr(12)):
+            key = SubExprKey(src, dst)
+            expected = program_profile(compile_program(expression(12, key, rounding)))
+            assert program_profile(program(12, key, rounding)) == expected, key
+
+    def test_compile_program_returns_a_program_unchanged(self):
+        built = program(16, SubExprKey(basic(1), basic(16)))
+        assert compile_program(built) is built
+
+    def test_finish_drops_flattened_products(self):
+        # A size-1 parallelogram is a product, flattened into every parent.
+        h = ProgramBuilder()
+        inner = h.product([h.lit("e", 2), h.lit("d", 3)])
+        root = h.product([h.lit("b", 1), inner])
+        finished = h.finish(root)
+        assert len(h.children) == 2
+        assert finished.children == ((-4, -2, -3),)
+        assert [str(label) for label in finished.labels] == ["e2", "d3", "b1"]
+
+    def test_finish_drops_unused_labels(self):
+        h = ProgramBuilder()
+        h.lit("c", 1)
+        root = h.sum([h.lit("b", 1), h.product([h.one, h.lit("b", 2)])])
+        finished = h.finish(root)
+        assert [str(label) for label in finished.labels] == ["b1", "b2"]
+        assert (finished.children, finished.root) == (((-2, -3),), 0)
+
+    def test_builder_normalizes_like_make_sum_and_make_product(self):
+        h = ProgramBuilder()
+        b1 = h.lit("b", 1)
+        assert h.product([]) == h.product([h.one]) == h.one
+        assert h.product([h.one, b1]) == h.sum([b1]) == b1
+        with pytest.raises(ValueError):
+            h.sum([])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "9"),
+            ("verify", "40", "--mode", "fingerprint"),
+            ("verify", "41", "--mode", "fingerprint", "--rounding", "floor", "--output", "json"),
+            ("gen", "9"),
+            ("gen", "9", "--juxtapose"),
+            ("gen", "9", "--output", "json"),
+            ("gen", "12", "--sub", "u2,l9"),
+            ("gen", "12", "--sub", "l2,b9", "--output", "json", "--rounding", "floor"),
+        ],
+    )
+    def test_cli_builds_and_walks_no_expression(self, capsys, monkeypatch, argv):
+        original = compile_program
+
+        def programs_only(e):
+            assert isinstance(e, Program), "a CLI command lowered an expression"
+            return original(e)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a CLI command built an expression")
+
+        monkeypatch.setattr("srexpr.expr.compile_program", programs_only)
+        monkeypatch.setattr("srexpr.oracle.compile_program", programs_only)
+        for name in ("expr.to_expr", "vda.to_expr", "expr.Sum", "expr.Prod"):
+            monkeypatch.setattr(f"srexpr.{name}", forbidden)
         assert main(list(argv)) == 0, capsys.readouterr().err
