@@ -9,13 +9,17 @@ A `Program` is an expression as a table of its distinct nodes, one integer
 slot each.  The generator and `from_json` build straight into that table
 with a `ProgramBuilder`, which applies the same normalization to slots and
 hash-conses them (Filliatre & Conchon, "Type-safe modular hash-consing",
-2006): one slot per label, one per (type, flattened children).  `to_expr`
-turns a table into an Expr with one node per slot; `compile_program` lowers
-any Expr to a table.  Literals are counted per occurrence.
+2006): one slot per label, by (letter, index), and one per (type, flattened
+children).  `to_expr` turns a table into an Expr with one node per slot and
+one Lit per label; `compile_program` lowers any Expr to a table.  Literals
+are counted per occurrence.
 
-Evaluation is a flat loop over the table; `to_text`, `to_json_text` and the
-other folds render or count each distinct node once over it, and take an
-Expr or a Program alike.
+Evaluation is a flat loop over the table.  `to_text`, `to_json_text`, the
+counts and the exact oracle's monomial codes are `_fold`s over it, which
+hand each slot its children's values, so each distinct node is rendered or
+counted once; they take an Expr or a Program alike.  A hand-built empty Sum
+or Prod, which `make_sum` / `make_product` never make, folds as zero or as
+the unit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Mapping
 
@@ -65,50 +68,33 @@ class Prod(Expr):
 ONE = One()
 
 
-def _addends(children: Iterable[Expr]) -> list[Expr]:
+def _normalized(node_type: type, children: Iterable[Expr]) -> Expr:
     flat: list[Expr] = []
     for child in children:
-        if isinstance(child, Sum):
+        if isinstance(child, node_type):
             flat.extend(child.children)
-        else:
+        elif node_type is Sum or not isinstance(child, One):  # the unit drops out of products
             flat.append(child)
-    if not flat:
+    if len(flat) < 2:
+        if flat or node_type is Prod:
+            return flat[0] if flat else ONE  # an empty product is the unit
         raise ValueError("a sum needs at least one addend")
-    return flat
-
-
-def _factors(children: Iterable[Expr]) -> list[Expr]:
-    flat: list[Expr] = []
-    for child in children:
-        if isinstance(child, Prod):
-            flat.extend(child.children)
-        elif not isinstance(child, One):
-            flat.append(child)
-    return flat or [ONE]  # an empty product is the unit
+    return node_type(tuple(flat))
 
 
 def make_sum(children: Iterable[Expr]) -> Expr:
     """Normalized n-ary sum: flattens nested sums, collapses a single child."""
-    flat = _addends(children)
-    return flat[0] if len(flat) == 1 else Sum(tuple(flat))
+    return _normalized(Sum, children)
 
 
 def make_product(children: Iterable[Expr]) -> Expr:
     """Normalized n-ary product: flattens nested products and drops units."""
-    flat = _factors(children)
-    return flat[0] if len(flat) == 1 else Prod(tuple(flat))
-
-
-@lru_cache(maxsize=None)
-def make_lit(letter: str, index: int) -> Lit:
-    """Interned literal: one Lit per edge label."""
-    return Lit(make_label(letter, index))
+    return _normalized(Prod, children)
 
 
 def lit(text: str) -> Lit:
     """Literal from short text, e.g. lit("b1")."""
-    label = EdgeLabel.parse(text)
-    return make_lit(label.letter, label.index)
+    return Lit(EdgeLabel.parse(text))
 
 
 @dataclass(frozen=True, order=True)
@@ -134,24 +120,15 @@ EMPTY_MONOMIAL = Monomial(())
 def literal_count(e: Expr | Program) -> int:
     """Literal occurrences in `e` written out in full (a shared subterm
     counts once per occurrence)."""
-    program = compile_program(e)
-    children = program.children
-    return _fold(
-        program,
-        lambda label: 0 if label is None else 1,
-        lambda k, values: sum([values[slot] for slot in children[k]]),
-    )
+    leaf = lambda label: 0 if label is None else 1
+    return _fold(compile_program(e), leaf, lambda k, counts: sum(counts))
 
 
 def expansion_size(e: Expr | Program) -> int:
     """Number of monomials (with multiplicity) in the full expansion."""
     program = compile_program(e)
-    is_product, children = program.is_product, program.children
-
-    def node(k, values):
-        sizes = [values[slot] for slot in children[k]]
-        return prod(sizes) if is_product[k] else sum(sizes)
-
+    is_product = program.is_product
+    node = lambda k, sizes: prod(sizes) if is_product[k] else sum(sizes)
     return _fold(program, lambda label: 1, node)
 
 
@@ -244,16 +221,17 @@ class ProgramBuilder:
     leaf slots, and `sum` / `product` normalize like `make_sum` /
     `make_product` (through the children of slots already built here) and
     hash-cons, so a sum or product of a type and children already built is
-    that slot.  `finish` makes the Program of one root."""
+    that slot; both are one constructor, `_node`, told which type to make.
+    `finish` makes the Program of one root."""
 
-    __slots__ = ("_label_slots", "_labels", "_sums", "_products", "is_product", "children")
+    __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
     one = -1
 
     def __init__(self) -> None:
         self._label_slots: dict[tuple[str, int], int] = {}
         self._labels: list[EdgeLabel] = []
-        self._sums: dict[tuple[int, ...], int] = {}
-        self._products: dict[tuple[int, ...], int] = {}
+        # The slots of sums and of products, by their children.
+        self._interned: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
         self.is_product = bytearray()
         self.children: list[tuple[int, ...]] = []
 
@@ -266,41 +244,30 @@ class ProgramBuilder:
         return slot
 
     def sum(self, addends: Iterable[int]) -> int:
-        is_product, children = self.is_product, self.children
-        flat: list[int] = []
-        for slot in addends:
-            if slot >= 0 and not is_product[slot]:
-                flat += children[slot]
-            else:
-                flat.append(slot)
-        if len(flat) < 2:
-            if not flat:
-                raise ValueError("a sum needs at least one addend")
-            return flat[0]
-        key = tuple(flat)
-        slot = self._sums.get(key)
-        if slot is None:
-            slot = self._sums[key] = len(children)
-            children.append(key)
-            is_product.append(0)
-        return slot
+        return self._node(0, addends)
 
     def product(self, factors: Iterable[int]) -> int:
+        return self._node(1, factors)
+
+    def _node(self, product: int, operands: Iterable[int]) -> int:
         is_product, children = self.is_product, self.children
         flat: list[int] = []
-        for slot in factors:
-            if slot >= 0 and is_product[slot]:
+        for slot in operands:
+            if slot >= 0 and is_product[slot] == product:
                 flat += children[slot]
-            elif slot != -1:  # the unit drops out
+            elif slot != -1 or not product:  # the unit drops out of products
                 flat.append(slot)
         if len(flat) < 2:
-            return flat[0] if flat else -1  # an empty product is the unit
+            if flat or product:
+                return flat[0] if flat else -1  # an empty product is the unit
+            raise ValueError("a sum needs at least one addend")
         key = tuple(flat)
-        slot = self._products.get(key)
+        interned = self._interned[product]
+        slot = interned.get(key)
         if slot is None:
-            slot = self._products[key] = len(children)
+            slot = interned[key] = len(children)
             children.append(key)
-            is_product.append(1)
+            is_product.append(product)
         return slot
 
     def finish(self, root: int) -> Program:
@@ -333,9 +300,9 @@ class ProgramBuilder:
 
 def to_expr(program: Program) -> Expr:
     """The expression of `program`, one node per slot (hash-consed as the
-    table is); labels become the interned literals of `make_lit`."""
+    table is), and one Lit per label slot."""
     nodes: list[Expr] = [ONE] * len(program.children)
-    nodes += [make_lit(label.letter, label.index) for label in reversed(program.labels)]
+    nodes += [Lit(label) for label in reversed(program.labels)]
     nodes.append(ONE)
     node_at = nodes.__getitem__
     slot = 0
@@ -383,14 +350,16 @@ def evaluate(
 
 
 def _fold(program: Program, leaf, node):
-    """The root's value: `leaf(label)` (None for the unit) at the leaves,
-    `node(k, values)` at slot k in slot order, dropping values after their
-    last use."""
+    """The root's value: `leaf(label)` (None for the unit) at the leaves, and
+    `node(k, child_values)` at slot k in slot order, where `child_values` is
+    a fresh list of the values of `children[k]` in order.  A value is dropped
+    after its last use."""
     children = program.children
     last_use = {slot: k for k, slots in enumerate(children) for slot in slots}
     values = [None] * len(children) + [leaf(x) for x in (*reversed(program.labels), None)]
+    value_at = values.__getitem__
     for k, slots in enumerate(children):
-        values[k] = node(k, values)
+        values[k] = node(k, list(map(value_at, slots)))
         for slot in slots:
             if slot >= 0 and last_use[slot] == k:
                 values[slot] = None
@@ -403,8 +372,7 @@ def to_text(e: Expr | Program, product_separator: str = "*") -> str:
     program = compile_program(e)
     is_product, children = program.is_product, program.children
 
-    def node(k, values):
-        texts = [values[slot] for slot in children[k]]
+    def node(k, texts):
         if not is_product[k]:
             return "+".join(texts)
         for i, slot in enumerate(children[k]):
@@ -419,7 +387,7 @@ def to_json_text(e: Expr | Program) -> str:
     """`json.dumps(to_json(e), indent=2)`.  A node below the root keeps its
     text indented as a list item, so a shared node is re-indented once."""
     program = compile_program(e)
-    is_product, children, root = program.is_product, program.children, program.root
+    is_product, root = program.is_product, program.root
 
     def block(text, nested):
         return text.replace("\n", "\n    ") if nested else text
@@ -428,11 +396,11 @@ def to_json_text(e: Expr | Program) -> str:
         body = '"one": true' if label is None else f'"lit": "{label}"'
         return block(f"{{\n  {body}\n}}", root >= 0)
 
-    def node(k, values):
+    def node(k, items):
         pieces = ['{\n  "prod": [' if is_product[k] else '{\n  "sum": [']
-        for slot in children[k]:
-            pieces += ("\n    ", values[slot], ",")
-        if children[k]:
+        for item in items:
+            pieces += ("\n    ", item, ",")
+        if items:
             pieces[-1] = "\n  "  # no comma after the last item
         pieces.append("]\n}")
         return block("".join(pieces), k != root)

@@ -47,9 +47,11 @@ class EdgeLabel:
 
     Labels are totally ordered by (letter, index); that ordering is the
     canonical sort key for monomials and for all deterministic output.
-    Equality, hashing and `<` go through a precomputed integer ordinal: exact
-    expansions hash and sort millions of labels, so this is a hot path.  The
-    other comparisons are derived from `<` and `==` by `total_ordering`.
+    Equality, hashing and `<` go through a precomputed integer ordinal:
+    fingerprint assignments and the reference enumerators (`iter_expansion`,
+    `enumerate_paths`) hash and compare labels in bulk, so this is a hot
+    path.  The other comparisons are derived from `<` and `==` by
+    `total_ordering`.
     """
 
     letter: str
@@ -91,8 +93,8 @@ def make_label(letter: str, index: int) -> EdgeLabel:
     """Interned EdgeLabel constructor.
 
     All labels built by this package come through here, so equal labels are
-    the same object and bulk monomial comparisons hit the interpreter's
-    identity fast path.
+    the same object, and fingerprint assignment lookups and the reference
+    enumerators' monomial comparisons hit the identity fast path.
     """
     return EdgeLabel(letter, index)
 
@@ -257,8 +259,8 @@ class LabeledDigraph:
     """An edge-labeled st-dag: one source, one sink, everything on a path.
 
     The constructor validates the st-dag invariants (acyclic; the source is
-    the unique in-degree-0 vertex and the sink the unique out-degree-0 vertex;
-    every vertex lies on a source-to-sink path; labels are distinct).
+    the unique in-degree-0 vertex and the sink the unique out-degree-0 vertex,
+    so every vertex lies on a source-to-sink path; labels are distinct).
     Vertices and edges are stored sorted, so all iteration is deterministic.
     """
 
@@ -320,10 +322,9 @@ class LabeledDigraph:
             raise ValueError(f"expected a unique in-degree-0 vertex {self.source}, got {sources}")
         if sinks != [self.sink]:
             raise ValueError(f"expected a unique out-degree-0 vertex {self.sink}, got {sinks}")
-        forward = self._reach(self.source, self._out)
-        backward = self._reach(self.sink, self._in)
-        if forward != set(self.vertices) or backward != set(self.vertices):
-            raise ValueError("every vertex must lie on a source-to-sink path")
+        # So every vertex lies on a source-to-sink path: in a DAG, a walk back
+        # along in-edges ends at a vertex without one, the source, and a walk
+        # forward ends at the sink.
 
     def _reach(
         self,
@@ -419,12 +420,11 @@ def induced_subgraph(g: LabeledDigraph, src: Terminal, dst: Terminal) -> Labeled
 
 
 def path_count(g: LabeledDigraph) -> int:
-    """Number of distinct source-to-sink paths, by DP over topological order."""
-    count = {v: 0 for v in g.vertices}
-    count[g.source] = 1
-    for v in g.topological_order:
-        for head, _ in g.out_edges(v):
-            count[head] += count[v]
+    """Number of distinct source-to-sink paths, by DP over topological order:
+    a vertex after the source sums the counts of its in-edges' tails."""
+    count = {g.source: 1}
+    for v in g.topological_order[1:]:  # the source comes first
+        count[v] = sum([count[u] for u, _ in g.in_edges(v)])
     return count[g.sink]
 
 
@@ -448,17 +448,12 @@ def sr_path_count(n: int, stop_above: int | None = None) -> int:
 
 def path_length_range(g: LabeledDigraph) -> tuple[int, int]:
     """(shortest, longest) source-to-sink path length in edges."""
-    shortest = {v: None for v in g.vertices}
-    longest = {v: None for v in g.vertices}
-    shortest[g.source] = longest[g.source] = 0
-    for v in g.topological_order:
-        if shortest[v] is None:
-            continue
-        for head, _ in g.out_edges(v):
-            if shortest[head] is None or shortest[v] + 1 < shortest[head]:
-                shortest[head] = shortest[v] + 1
-            if longest[head] is None or longest[v] + 1 > longest[head]:
-                longest[head] = longest[v] + 1
+    shortest = {g.source: 0}
+    longest = {g.source: 0}
+    for v in g.topological_order[1:]:  # the source comes first
+        tails = [u for u, _ in g.in_edges(v)]
+        shortest[v] = 1 + min(map(shortest.__getitem__, tails))
+        longest[v] = 1 + max(map(longest.__getitem__, tails))
     return shortest[g.sink], longest[g.sink]
 
 

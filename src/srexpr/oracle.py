@@ -111,19 +111,15 @@ def dp_eval(
     distributivity the sink value equals the evaluated sum over all paths of
     the product of edge labels.
     """
-    value = {v: 0 for v in g.vertices}
-    value[g.source] = 1 % prime
-    for v in g.topological_order:
-        if v == g.source:
-            continue
-        total = 0
-        for tail, label in g.in_edges(v):
-            try:
-                weight = assignment[label]
-            except KeyError:
-                raise UnboundLabelError(str(label)) from None
-            total += value[tail] * weight
-        value[v] = total % prime
+    value = {g.source: 1 % prime}
+    try:
+        for v in g.topological_order[1:]:  # the source comes first
+            total = 0
+            for u, label in g.in_edges(v):
+                total += value[u] * assignment[label]
+            value[v] = total % prime
+    except KeyError as exc:  # tails come first in the order, so a label is missing
+        raise UnboundLabelError(str(exc.args[0])) from None
     return value[g.sink]
 
 
@@ -170,14 +166,13 @@ class VerificationReport:
 
 def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[int]:
     """The code of every monomial of the expansion, with multiplicity."""
-    is_product, children = program.is_product, program.children
+    is_product = program.is_product
 
-    def node(k, values):
-        lists = [values[slot] for slot in children[k]]
+    def node(k, lists):
         if not is_product[k]:
             return [x for part in lists for x in part]
-        acc = lists[0]
-        for part in lists[1:]:
+        acc = [0]  # the code of the unit
+        for part in lists:
             acc = [x + y for x in acc for y in part]
         return acc
 
@@ -229,11 +224,10 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
     if n_monomials > limit:
         raise CapacityError.exceeded(n_monomials, "monomials", limit)
 
-    is_product, children = program.is_product, program.children
+    is_product = program.is_product
 
-    def degree(k, values):
-        degrees = [values[slot] for slot in children[k]]
-        return sum(degrees) if is_product[k] else max(degrees)
+    def degree(k, degrees):
+        return sum(degrees) if is_product[k] else max(degrees, default=0)
 
     width = max(_fold(program, lambda label: 0 if label is None else 1, degree), 1).bit_length()
     labels = sorted(set(g.labels()).union(program.labels))

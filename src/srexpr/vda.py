@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-from .errors import BaseCaseExpectedError, InvalidSizeError, RangeError
+from .errors import BaseCaseExpectedError, DomainError, InvalidSizeError, RangeError
 from .expr import Expr, Program, ProgramBuilder, to_expr
 from .graph import (
     Family,
@@ -219,11 +219,10 @@ def choose_split(kind: SubgraphKind, p: int, q: int, rounding: str = "ceil") -> 
     on the whole-graph and dipterous rules, where either midpoint is valid;
     single-leaf splits are always the ceiling, because flooring them would
     produce an empty bridge-side piece at size 3 with a non-basic source.
-    Raises BaseCaseExpectedError when the subgraph is small enough to be a
-    base case.
+    Raises DomainError for any other `rounding`, and BaseCaseExpectedError
+    when the subgraph is small enough to be a base case.
     """
-    if rounding not in ("ceil", "floor"):
-        raise ValueError(f"rounding must be 'ceil' or 'floor', got {rounding!r}")
+    _check_rounding(rounding)
     if kind.size < 3:
         raise BaseCaseExpectedError(
             f"size-{kind.size} {kind.family.value} subgraph has no decomposition vertex"
@@ -246,8 +245,14 @@ def check_size(n: int) -> None:
         raise InvalidSizeError(f"size must be < 2**{bits}, got a {n.bit_length()}-bit size")
 
 
-def _validate(n: int, key: SubExprKey) -> None:
+def _check_rounding(rounding: str) -> None:
+    if rounding not in ("ceil", "floor"):
+        raise DomainError(f"rounding must be 'ceil' or 'floor', got {rounding!r}")
+
+
+def _validate(n: int, key: SubExprKey, rounding: str) -> None:
     check_size(n)
+    _check_rounding(rounding)
     for terminal in (key.src, key.dst):
         bound = n if terminal.kind is TerminalKind.BASIC else n - 1
         if not 1 <= terminal.index <= bound:
@@ -314,7 +319,7 @@ def _build(src: Terminal, dst: Terminal, rounding: str, h, memo: dict, key):
 def program(n: int, key: SubExprKey, rounding: str = "ceil") -> Program:
     """The slot table of `expression(n, key, rounding)`, built straight into
     a `ProgramBuilder` without making an expression node."""
-    _validate(n, key)
+    _validate(n, key, rounding)
     h = ProgramBuilder()
     return h.finish(_build(key.src, key.dst, rounding, h, {}, _position))
 
@@ -326,7 +331,7 @@ def expression(n: int, key: SubExprKey, rounding: str = "ceil") -> Expr:
 
 def count_literals(n: int, key: SubExprKey, rounding: str = "ceil") -> int:
     """`literal_count(expression(n, key, rounding))`, without building it."""
-    _validate(n, key)
+    _validate(n, key, rounding)
     return _build(key.src, key.dst, rounding, _COUNT, {}, _shape)
 
 

@@ -25,7 +25,7 @@ from srexpr import (
     to_dot,
     upper,
 )
-from srexpr.graph import sr_path_count
+from srexpr.graph import LabeledDigraph, make_label, sr_path_count
 
 OPERATORS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
 
@@ -89,6 +89,52 @@ class TestBuildSr:
         g = build_sr(5)
         labels = g.labels()
         assert list(labels) == sorted(labels)
+
+
+class TestLabeledDigraph:
+    """Hand-built graphs: two basic vertices b1, b2 and an upper vertex u1."""
+
+    B1_B2 = (basic(1), basic(2), make_label("b", 1))
+
+    def graph(self, vertices, edges):
+        return LabeledDigraph(vertices, edges, basic(1), basic(2))
+
+    def test_st_dag_accepted(self):
+        g = self.graph(
+            [basic(1), basic(2), upper(1)],
+            [
+                self.B1_B2,
+                (basic(1), upper(1), make_label("e", 1)),
+                (upper(1), basic(2), make_label("e", 2)),
+            ],
+        )
+        assert g.topological_order == (basic(1), upper(1), basic(2))
+        assert path_count(g) == 2
+        assert path_length_range(g) == (1, 2)
+
+    def test_isolated_vertex_refused(self):
+        with pytest.raises(ValueError, match="unique in-degree-0 vertex"):
+            self.graph([basic(1), basic(2), upper(1)], [self.B1_B2])
+
+    def test_dead_end_vertex_refused(self):
+        with pytest.raises(ValueError, match="unique out-degree-0 vertex"):
+            self.graph(
+                [basic(1), basic(2), upper(1)],
+                [self.B1_B2, (basic(1), upper(1), make_label("e", 1))],
+            )
+
+    def test_cycle_off_every_path_refused(self):
+        # u1 and l1 each have an in-edge and an out-edge, so only the
+        # acyclicity check can see that they lie on no b1-to-b2 path
+        with pytest.raises(ValueError, match="cycle"):
+            self.graph(
+                [basic(1), basic(2), upper(1), lower(1)],
+                [
+                    self.B1_B2,
+                    (upper(1), lower(1), make_label("e", 1)),
+                    (lower(1), upper(1), make_label("d", 1)),
+                ],
+            )
 
 
 class TestInducedSubgraph:

@@ -17,6 +17,7 @@ from srexpr import (
     ONE,
     One,
     OrderingError,
+    Prod,
     SplitMix64,
     SubExprKey,
     Sum,
@@ -273,6 +274,24 @@ class TestExactCodes:
         message = "^a 4516-digit number of monomials exceeds the limit 1000$"
         with pytest.raises(CapacityError, match=message):
             check_exact(huge, build_sr(3), limit=1000)
+
+
+class TestEmptyNodes:
+    """Hand-built empty sums and products get a verdict from both oracles."""
+
+    def test_empty_sum_fails_with_a_graph_only_witness(self):
+        g = build_sr(2)
+        report = check_exact(Sum(()), g)
+        assert report.witness == {"monomial": "b1", "side": "graph-only"}
+        assert_same_report(report, reference_check_exact(Sum(()), g))
+        assert not check_fingerprint(Sum(()), g).passed
+
+    def test_empty_product_is_the_unit(self):
+        g = build_sr(1)
+        report = check_exact(Prod(()), g)
+        assert report.passed
+        assert_same_report(report, reference_check_exact(Prod(()), g))
+        assert check_fingerprint(Prod(()), g).passed
 
 
 class TestCheckFingerprint:

@@ -1,14 +1,28 @@
-"""Property tests: the count fold and the JSON round trip on random inputs."""
+"""Property tests: the count fold, the JSON round trip and the two oracles
+on random inputs."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from srexpr import from_json, literal_count, to_json  # noqa: E402
+from srexpr import (  # noqa: E402
+    CapacityError,
+    Lit,
+    ONE,
+    Prod,
+    Sum,
+    build_sr,
+    check_exact,
+    check_fingerprint,
+    from_json,
+    literal_count,
+    to_json,
+)
 from srexpr.expr import compile_program  # noqa: E402
 from srexpr.graph import OrderingError, Terminal, TerminalKind, classify  # noqa: E402
 from srexpr.vda import SubExprKey, count_literals, expression  # noqa: E402
+from test_oracle import assert_same_report, reference_check_exact  # noqa: E402
 
 ROUNDINGS = st.sampled_from(["ceil", "floor"])
 
@@ -46,3 +60,37 @@ def test_json_round_trip_keeps_value_and_sharing(case, rounding):
     rebuilt = from_json(to_json(e))
     assert rebuilt == e
     assert len(compile_program(rebuilt).children) == len(compile_program(e).children)
+
+
+@st.composite
+def hand_built_cases(draw):
+    """(expression, SR(n)) for n = 1..5: a small expression on the labels of
+    SR(n), made with the node constructors rather than `make_sum` and
+    `make_product`, so it may hold empty, single-child and same-type nested
+    sums and products, unit factors and repeated children."""
+    g = build_sr(draw(st.integers(1, 5)))
+    leaves = st.just(ONE)
+    if g.labels():
+        leaves = leaves | st.sampled_from(g.labels()).map(Lit)
+
+    def nodes(children):
+        return st.builds(
+            lambda kind, items, repeats: kind(tuple(items + items[:repeats])),
+            st.sampled_from([Sum, Prod]),
+            st.lists(children, max_size=3),
+            st.integers(0, 2),
+        )
+
+    return draw(st.recursive(leaves, nodes, max_leaves=8)), g
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(hand_built_cases())
+def test_oracles_agree_on_hand_built_expressions(case):
+    e, g = case
+    try:
+        report = check_exact(e, g, limit=10**4)
+    except CapacityError:
+        hypothesis.reject()
+    assert_same_report(report, reference_check_exact(e, g, limit=10**4))
+    assert check_fingerprint(e, g, trials=3).passed == report.passed

@@ -11,6 +11,7 @@ import pytest
 
 from srexpr import (
     BaseCaseExpectedError,
+    DomainError,
     Family,
     Lit,
     One,
@@ -152,6 +153,19 @@ class TestChooseSplit:
     def test_bad_rounding(self):
         with pytest.raises(ValueError):
             choose_split(classify(basic(1), basic(5)), 1, 5, rounding="nearest")
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bad_rounding_refused_by_every_entry_point(self, n):
+        key = SubExprKey(basic(1), basic(n))
+        calls = [
+            lambda: generate(n, rounding="bogus"),
+            lambda: expression(n, key, rounding="bogus"),
+            lambda: program(n, key, rounding="bogus"),
+            lambda: count_literals(n, key, "bogus"),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="rounding must be 'ceil' or 'floor'"):
+                call()
 
 
 class TestBaseRelations:
