@@ -25,15 +25,12 @@ the unit.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CapacityError, MalformedExpressionError, UnboundLabelError
-from .graph import EdgeLabel, make_label
-
-_SORT_ORDINAL = operator.attrgetter("sort_ordinal")
+from .graph import EdgeLabel
 
 #: Default field modulus for evaluation: the Mersenne prime 2**61 - 1.
 DEFAULT_PRIME = (1 << 61) - 1
@@ -100,15 +97,16 @@ def lit(text: str) -> Lit:
 @dataclass(frozen=True, order=True)
 class Monomial:
     """A sequence of edge labels sorted by (letter, index); one per graph
-    path.  `of` sorts arbitrary input.  Graph monomials are squarefree (paths
-    never repeat an edge), but the type allows repeats.
+    path.  `of` sorts arbitrary input.  Monomials are ordered as their label
+    tuples are, item by item.  Graph monomials are squarefree (paths never
+    repeat an edge), but the type allows repeats.
     """
 
     labels: tuple[EdgeLabel, ...]
 
     @classmethod
     def of(cls, labels: Iterable[EdgeLabel]) -> "Monomial":
-        return cls(tuple(sorted(labels, key=_SORT_ORDINAL)))
+        return cls(tuple(sorted(labels)))
 
     def __str__(self) -> str:
         return "*".join(str(label) for label in self.labels) if self.labels else "1"
@@ -160,7 +158,7 @@ def iter_expansion(e: Expr) -> Iterator[Monomial]:
                 merged: list[EdgeLabel] = []
                 for part in combo:
                     merged.extend(part.labels)
-                merged.sort(key=_SORT_ORDINAL)
+                merged.sort()
                 yield Monomial(tuple(merged))
 
     return stream(e)
@@ -240,7 +238,7 @@ class ProgramBuilder:
         slot = self._label_slots.get(key)
         if slot is None:
             slot = self._label_slots[key] = -2 - len(self._labels)
-            self._labels.append(make_label(letter, index))
+            self._labels.append(EdgeLabel(letter, index))
         return slot
 
     def sum(self, addends: Iterable[int]) -> int:

@@ -24,7 +24,8 @@ import enum
 import heapq
 import re
 from dataclasses import dataclass
-from functools import lru_cache, total_ordering
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -40,42 +41,30 @@ _LABEL_RE = re.compile(r"^([abcde])([1-9][0-9]*)$")
 _TERMINAL_RE = re.compile(r"^([bul])([1-9][0-9]*)$")
 
 
-@total_ordering
-@dataclass(frozen=True, eq=False)
-class EdgeLabel:
+class EdgeLabel(tuple):
     """A named edge: one of the letters a..e plus a positive index.
 
-    Labels are totally ordered by (letter, index); that ordering is the
-    canonical sort key for monomials and for all deterministic output.
-    Equality, hashing and `<` go through a precomputed integer ordinal:
-    fingerprint assignments and the reference enumerators (`iter_expansion`,
-    `enumerate_paths`) hash and compare labels in bulk, so this is a hot
-    path.  The other comparisons are derived from `<` and `==` by
-    `total_ordering`.
+    The tuple `(letter, index)`, so labels are totally ordered by letter,
+    then index, and compare and hash as that tuple does; that ordering is
+    the canonical sort key for monomials and for all deterministic output.
     """
 
-    letter: str
-    index: int
+    __slots__ = ()
+    letter = property(itemgetter(0))
+    index = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if self.letter not in _LETTERS:
-            raise ValueError(f"edge letter must be one of {_LETTERS}, got {self.letter!r}")
-        if self.index < 1:
-            raise ValueError(f"edge index must be positive, got {self.index}")
-        ordinal = (ord(self.letter) << 32) | self.index
-        object.__setattr__(self, "sort_ordinal", ordinal)
-        object.__setattr__(self, "_hash", hash(ordinal))
+    def __new__(cls, letter: str, index: int) -> "EdgeLabel":
+        if letter not in _LETTERS:
+            raise ValueError(f"edge letter must be one of {_LETTERS}, got {letter!r}")
+        if index < 1:
+            raise ValueError(f"edge index must be positive, got {index}")
+        return tuple.__new__(cls, (letter, index))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdgeLabel):
-            return NotImplemented
-        return self.sort_ordinal == other.sort_ordinal
+    def __getnewargs__(self) -> tuple[str, int]:
+        return self.letter, self.index
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "EdgeLabel") -> bool:
-        return self.sort_ordinal < other.sort_ordinal
+    def __repr__(self) -> str:
+        return f"EdgeLabel(letter={self.letter!r}, index={self.index!r})"
 
     def __str__(self) -> str:
         return f"{self.letter}{self.index}"
@@ -85,18 +74,7 @@ class EdgeLabel:
         m = _LABEL_RE.match(text)
         if m is None:
             raise ValueError(f"cannot parse edge label {text!r}")
-        return make_label(m.group(1), int(m.group(2)))
-
-
-@lru_cache(maxsize=None)
-def make_label(letter: str, index: int) -> EdgeLabel:
-    """Interned EdgeLabel constructor.
-
-    All labels built by this package come through here, so equal labels are
-    the same object, and fingerprint assignment lookups and the reference
-    enumerators' monomial comparisons hit the identity fast path.
-    """
-    return EdgeLabel(letter, index)
+        return cls(m.group(1), int(m.group(2)))
 
 
 class TerminalKind(enum.Enum):
@@ -115,35 +93,28 @@ class TerminalKind(enum.Enum):
 _KIND_RANK = {TerminalKind.BASIC: 0, TerminalKind.UPPER: 1, TerminalKind.LOWER: 2}
 
 
-@dataclass(frozen=True, eq=False)
-class Terminal:
+class Terminal(tuple):
     """A vertex, identified by its row and its index within the row.
 
-    Ordered by (index, row) so that iteration follows the drawing left to
-    right; like EdgeLabel, hashing is precomputed because terminals key every
-    adjacency lookup.
+    The tuple `(index, row rank, row)`, with ranks basic 0, upper 1 and
+    lower 2, so terminals are ordered by (index, row) and iteration follows
+    the drawing left to right.
     """
 
-    kind: TerminalKind
-    index: int
+    __slots__ = ()
+    index = property(itemgetter(0))
+    kind = property(itemgetter(2))
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"terminal index must be positive, got {self.index}")
-        ordinal = (self.index << 2) | _KIND_RANK[self.kind]
-        object.__setattr__(self, "sort_ordinal", ordinal)
-        object.__setattr__(self, "_hash", hash(ordinal))
+    def __new__(cls, kind: TerminalKind, index: int) -> "Terminal":
+        if index < 1:
+            raise ValueError(f"terminal index must be positive, got {index}")
+        return tuple.__new__(cls, (index, _KIND_RANK[kind], kind))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Terminal):
-            return NotImplemented
-        return self.sort_ordinal == other.sort_ordinal
+    def __getnewargs__(self) -> tuple[TerminalKind, int]:
+        return self.kind, self.index
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Terminal") -> bool:
-        return self.sort_ordinal < other.sort_ordinal
+    def __repr__(self) -> str:
+        return f"Terminal(kind={self.kind!r}, index={self.index!r})"
 
     def __str__(self) -> str:
         return f"{self.kind.value}{self.index}"
@@ -384,14 +355,14 @@ def build_sr(n: int) -> LabeledDigraph:
     vertices += [lower(p) for p in range(1, n)]
     edges: list[tuple[Terminal, Terminal, EdgeLabel]] = []
     for p in range(1, n):
-        edges.append((basic(p), basic(p + 1), make_label("b", p)))
-        edges.append((basic(p), upper(p), make_label("e", 2 * p - 1)))
-        edges.append((upper(p), basic(p + 1), make_label("e", 2 * p)))
-        edges.append((basic(p), lower(p), make_label("d", 2 * p - 1)))
-        edges.append((lower(p), basic(p + 1), make_label("d", 2 * p)))
+        edges.append((basic(p), basic(p + 1), EdgeLabel("b", p)))
+        edges.append((basic(p), upper(p), EdgeLabel("e", 2 * p - 1)))
+        edges.append((upper(p), basic(p + 1), EdgeLabel("e", 2 * p)))
+        edges.append((basic(p), lower(p), EdgeLabel("d", 2 * p - 1)))
+        edges.append((lower(p), basic(p + 1), EdgeLabel("d", 2 * p)))
     for p in range(1, n - 1):
-        edges.append((upper(p), upper(p + 1), make_label("c", p)))
-        edges.append((lower(p), lower(p + 1), make_label("a", p)))
+        edges.append((upper(p), upper(p + 1), EdgeLabel("c", p)))
+        edges.append((lower(p), lower(p + 1), EdgeLabel("a", p)))
     return LabeledDigraph(vertices, edges, basic(1), basic(n))
 
 
@@ -500,10 +471,8 @@ def enumerate_paths(g: LabeledDigraph, limit: int = 10**6) -> list:
     n_paths = path_count(g)
     if n_paths > limit:
         raise CapacityError.exceeded(n_paths, "paths", limit)
-    key = lambda label: label.sort_ordinal
-    monomials = [Monomial(tuple(sorted(labels, key=key))) for labels in _iter_path_labels(g)]
-    monomials.sort(key=lambda m: tuple(label.sort_ordinal for label in m.labels))
-    return monomials
+    paths = sorted([tuple(sorted(labels)) for labels in _iter_path_labels(g)])
+    return [Monomial(labels) for labels in paths]
 
 
 def to_dot(g: LabeledDigraph) -> str:

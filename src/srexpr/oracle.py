@@ -14,6 +14,8 @@ Two independent oracles:
     probability is at most deg/prime with deg <= 2(n-1), and the modulus
     must be a prime above deg (`is_prime`).
 
+Both oracles range over the union of the graph's and the expression's labels,
+so an edge outside the graph is one more variable and not a separate failure.
 Random assignments come from a seeded split-mix generator (same seed, same
 sequence, on every platform) and exclude 0 so absent literals cannot hide
 inside products.
@@ -295,26 +297,21 @@ def check_fingerprint(
     """Randomized identity test of `e` against the path-sum polynomial of `g`.
 
     Compiles `e` once, then runs `trials` independent rounds.  Each round
-    draws a fresh nonzero assignment for every edge label (labels in sorted
-    order, from a per-trial generator seeded off the master seed) and
+    draws a fresh nonzero assignment for every label of `g` or `e` (in
+    sorted order, from a per-trial generator seeded off the master seed) and
     compares the compiled expression's value against `dp_eval`.  The
     transcript of every round is kept in the report detail, so identical
-    (seed, trials, prime) yield identical reports.
-
-    An expression that names an edge outside `g` cannot equal the graph's
-    polynomial, so it fails at trial 0.  That trial's values are drawn over
-    the union of the graph's and the expression's labels, in sorted order
-    (the usual draw whenever the expression names only edges of `g`), and
-    the witness is the trial's row plus "label", the first foreign label.
+    (seed, trials, prime) yield identical reports.  An edge outside `g` is
+    thus one more variable: like any other difference between the
+    polynomials it fails the test, unless every monomial that holds it
+    vanishes.
 
     Raises DomainError as `check_fingerprint_parameters` does, with the
     longest path length of `g` as the degree.
     """
     check_fingerprint_parameters(trials, prime, path_length_range(g)[1])
     program = compile_program(e)
-    graph_labels = g.labels()
-    foreign = sorted(set(program.labels).difference(graph_labels))
-    labels = sorted(set(graph_labels).union(program.labels)) if foreign else graph_labels
+    labels = sorted(set(g.labels()).union(program.labels))
     names = [f"{label}=" for label in labels]
     master = SplitMix64(seed)
     transcript: list[dict] = []
@@ -334,9 +331,6 @@ def check_fingerprint(
             "graph_value": graph_value,
         }
         transcript.append(row)
-        if foreign:
-            witness = {**row, "label": str(foreign[0])}
-            break
         if expr_value != graph_value:
             witness = row
             break

@@ -260,8 +260,8 @@ def _validate(n: int, key: SubExprKey, rounding: str) -> None:
     classify(key.src, key.dst)  # raises OrderingError for an empty span
 
 
-def _position(src: Terminal, dst: Terminal) -> tuple[int, int]:
-    return src.sort_ordinal, dst.sort_ordinal
+def _position(src: Terminal, dst: Terminal) -> tuple[Terminal, Terminal]:
+    return src, dst
 
 
 def _shape(src: Terminal, dst: Terminal) -> tuple:

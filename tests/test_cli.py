@@ -274,6 +274,36 @@ class TestSizeBound:
         assert code == 0 and int(out) > 0
 
 
+class TestHashSeed:
+    """Output does not depend on string hashes or on object addresses: the
+    labels hash through their letters and the terminals through their row."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "30", "--output", "json"),
+            ("gen", "25", "--sub", "u3,l17"),
+            ("verify", "8", "--output", "json"),
+            ("verify", "200", "--mode", "fingerprint", "--output", "json"),
+            ("dot", "6", "--sub", "b2,u5"),
+        ],
+        ids=["gen-json", "gen-sub", "verify-exact", "verify-fingerprint", "dot-sub"],
+    )
+    def test_output_is_the_same_under_two_hash_seeds(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-m", "srexpr.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1] != ""
+
+
 class TestDot:
     def test_whole_graph(self, capsys):
         code, out, _ = run(capsys, "dot", "2")

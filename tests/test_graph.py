@@ -14,6 +14,7 @@ from srexpr import (
     OrderingError,
     RangeError,
     Terminal,
+    TerminalKind,
     basic,
     build_sr,
     classify,
@@ -25,7 +26,7 @@ from srexpr import (
     to_dot,
     upper,
 )
-from srexpr.graph import LabeledDigraph, make_label, sr_path_count
+from srexpr.graph import LabeledDigraph, sr_path_count
 
 OPERATORS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
 
@@ -94,7 +95,7 @@ class TestBuildSr:
 class TestLabeledDigraph:
     """Hand-built graphs: two basic vertices b1, b2 and an upper vertex u1."""
 
-    B1_B2 = (basic(1), basic(2), make_label("b", 1))
+    B1_B2 = (basic(1), basic(2), EdgeLabel("b", 1))
 
     def graph(self, vertices, edges):
         return LabeledDigraph(vertices, edges, basic(1), basic(2))
@@ -104,8 +105,8 @@ class TestLabeledDigraph:
             [basic(1), basic(2), upper(1)],
             [
                 self.B1_B2,
-                (basic(1), upper(1), make_label("e", 1)),
-                (upper(1), basic(2), make_label("e", 2)),
+                (basic(1), upper(1), EdgeLabel("e", 1)),
+                (upper(1), basic(2), EdgeLabel("e", 2)),
             ],
         )
         assert g.topological_order == (basic(1), upper(1), basic(2))
@@ -120,7 +121,7 @@ class TestLabeledDigraph:
         with pytest.raises(ValueError, match="unique out-degree-0 vertex"):
             self.graph(
                 [basic(1), basic(2), upper(1)],
-                [self.B1_B2, (basic(1), upper(1), make_label("e", 1))],
+                [self.B1_B2, (basic(1), upper(1), EdgeLabel("e", 1))],
             )
 
     def test_cycle_off_every_path_refused(self):
@@ -131,8 +132,8 @@ class TestLabeledDigraph:
                 [basic(1), basic(2), upper(1), lower(1)],
                 [
                     self.B1_B2,
-                    (upper(1), lower(1), make_label("e", 1)),
-                    (lower(1), upper(1), make_label("d", 1)),
+                    (upper(1), lower(1), EdgeLabel("e", 1)),
+                    (lower(1), upper(1), EdgeLabel("d", 1)),
                 ],
             )
 
@@ -341,3 +342,33 @@ class TestParsing:
                 for y in items:
                     for op in OPERATORS:
                         assert op(x, y) == op(key(x), key(y)), (x, y, op)
+
+
+class TestIdentity:
+    """Labels and terminals are equal exactly when their fields are, at any index."""
+
+    PAST_32_BITS = 2**32 + 1
+
+    def test_index_past_32_bits_is_its_own_label(self):
+        big_a, big_b = EdgeLabel("a", self.PAST_32_BITS), EdgeLabel("b", self.PAST_32_BITS)
+        assert big_a != EdgeLabel("a", 1) and EdgeLabel("a", 1) < big_a
+        assert big_b != EdgeLabel("c", 1) and big_b < EdgeLabel("c", 1)
+        assert len({big_a, big_b, EdgeLabel("a", 1), EdgeLabel("c", 1)}) == 4
+
+    def test_digraph_accepts_labels_past_32_bits(self):
+        labels = [
+            EdgeLabel("c", 1),
+            EdgeLabel("b", self.PAST_32_BITS),
+            EdgeLabel("a", self.PAST_32_BITS),
+            EdgeLabel("a", 1),
+        ]
+        edges = [(basic(1), basic(2), label) for label in labels]
+        g = LabeledDigraph([basic(1), basic(2)], edges, basic(1), basic(2))
+        assert [str(x) for x in g.labels()] == ["a1", "a4294967297", "b4294967297", "c1"]
+        assert path_count(g) == 4
+
+    def test_terminals_differ_by_row_and_index(self):
+        terminals = [Terminal(kind, i) for kind in TerminalKind for i in (1, 2, 2**32, 2**64)]
+        assert len(set(terminals)) == len(terminals)
+        row = {TerminalKind.BASIC: 0, TerminalKind.UPPER: 1, TerminalKind.LOWER: 2}
+        assert sorted(terminals) == sorted(terminals, key=lambda t: (t.index, row[t.kind]))

@@ -30,6 +30,7 @@ from srexpr import (
     dp_eval,
     expansion_size,
     expression,
+    from_json,
     generate,
     induced_subgraph,
     iter_expansion,
@@ -40,6 +41,7 @@ from srexpr import (
     path_count,
     path_length_range,
     reference_trap_base_variant,
+    to_json,
     upper,
 )
 from srexpr.graph import _iter_path_labels
@@ -78,7 +80,7 @@ def reference_check_exact(e, g, limit=10**6):
     n_monomials = expansion_size(e)
     if n_monomials > limit:
         raise CapacityError(f"{n_monomials} monomials exceed the limit {limit}")
-    key = lambda label: label.sort_ordinal
+    key = lambda label: (label.letter, label.index)
     expanded = Counter(iter_expansion(e))
     paths = Counter(Monomial(tuple(sorted(labels, key=key))) for labels in _iter_path_labels(g))
     detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
@@ -207,6 +209,23 @@ class TestCheckExact:
             check_exact(generate(6), build_sr(6), limit=100)
 
 
+class TestLabelPast32Bits:
+    """SR(3) with a1 renamed a4294967297 (2**32 + 1), a label no edge has."""
+
+    @staticmethod
+    def renamed_sr3():
+        payload = json.dumps(to_json(generate(3))).replace('"a1"', '"a4294967297"')
+        return from_json(json.loads(payload))
+
+    def test_exact_witnesses_the_renamed_path(self):
+        report = check_exact(self.renamed_sr3(), build_sr(3))
+        assert report.witness == {"monomial": "a4294967297*d1*d4", "side": "expression-only"}
+
+    def test_fingerprint_fails_at_trial_zero(self):
+        report = check_fingerprint(self.renamed_sr3(), build_sr(3))
+        assert report.result == "fail" and report.witness["trial"] == 0
+
+
 class TestExactAgainstReference:
     def test_every_sr8_pair_and_its_wrong_variants(self):
         g = build_sr(8)
@@ -293,6 +312,12 @@ class TestEmptyNodes:
         assert_same_report(report, reference_check_exact(Prod(()), g))
         assert check_fingerprint(Prod(()), g).passed
 
+    def test_a_label_outside_the_graph_in_a_vanishing_product_passes_both(self):
+        e = Sum((ONE, Prod((lit("b1"), Sum(())))))  # 1 + b1 * 0
+        g = build_sr(1)
+        assert check_exact(e, g).passed
+        assert check_fingerprint(e, g).passed
+
 
 class TestCheckFingerprint:
     def test_passes_at_size_64(self):
@@ -343,11 +368,8 @@ class TestCheckFingerprint:
         g = induced_subgraph(build_sr(4), src, dst)
         report = check_fingerprint(e, g, trials=10, seed=7)
         assert report.result == "fail"
-        assert report.detail["transcript"] == [
-            {key: value for key, value in report.witness.items() if key != "label"}
-        ]
+        assert report.detail["transcript"] == [report.witness]
         assert report.witness["trial"] == 0
-        assert report.witness["label"] == foreign
 
     @pytest.mark.parametrize(
         "n, seed, trials, digest",

@@ -8,6 +8,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from srexpr import (  # noqa: E402
     CapacityError,
+    EdgeLabel,
     Lit,
     ONE,
     Prod,
@@ -64,12 +65,17 @@ def test_json_round_trip_keeps_value_and_sharing(case, rounding):
 
 @st.composite
 def hand_built_cases(draw):
-    """(expression, SR(n)) for n = 1..5: a small expression on the labels of
-    SR(n), made with the node constructors rather than `make_sum` and
-    `make_product`, so it may hold empty, single-child and same-type nested
-    sums and products, unit factors and repeated children."""
-    g = build_sr(draw(st.integers(1, 5)))
-    leaves = st.just(ONE)
+    """(expression, SR(n)) for n = 1..5: a small expression made with the node
+    constructors rather than `make_sum` and `make_product`, so it may hold
+    empty, single-child and same-type nested sums and products, unit factors
+    and repeated children.  Its literals are labels of SR(n) and labels
+    outside it: those of SR(n+1), and each label of SR(n) with 2**32 added
+    to its index."""
+    n = draw(st.integers(1, 5))
+    g = build_sr(n)
+    foreign = sorted(set(build_sr(n + 1).labels()).difference(g.labels()))
+    foreign += [EdgeLabel(x.letter, x.index + 2**32) for x in g.labels()]
+    leaves = st.just(ONE) | st.sampled_from(foreign).map(Lit)
     if g.labels():
         leaves = leaves | st.sampled_from(g.labels()).map(Lit)
 

@@ -1,7 +1,9 @@
 """Generator tests: base relations, splits, golden expressions, soundness."""
 
+import copy
 import cProfile
 import hashlib
+import pickle
 import pstats
 import sys
 import threading
@@ -12,12 +14,14 @@ import pytest
 from srexpr import (
     BaseCaseExpectedError,
     DomainError,
+    EdgeLabel,
     Family,
     Lit,
     One,
     OrderingError,
     RangeError,
     SubExprKey,
+    Terminal,
     TerminalKind,
     base_expression,
     basic,
@@ -289,7 +293,7 @@ class TestSoundness:
     @pytest.mark.parametrize("n", [11, 12])
     def test_exact_equivalence_large(self, n):
         # streamed comparison; materializing lists would be wasteful here
-        key = lambda label: label.sort_ordinal
+        key = lambda label: (label.letter, label.index)
         left = Counter(m.labels for m in iter_expansion(generate(n)))
         right = Counter(
             tuple(sorted(labels, key=key)) for labels in _iter_path_labels(build_sr(n))
@@ -541,3 +545,33 @@ class TestProgram:
         for name in ("expr.to_expr", "vda.to_expr", "expr.Sum", "expr.Prod"):
             monkeypatch.setattr(f"srexpr.{name}", forbidden)
         assert main(list(argv)) == 0, capsys.readouterr().err
+
+
+class TestCopies:
+    """`pickle` and `copy` rebuild labels, terminals, expressions and tables."""
+
+    @staticmethod
+    def fields(value):
+        if isinstance(value, Program):  # no __eq__: compare the table
+            return value.labels, value.is_product, value.children, value.root
+        return value
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            EdgeLabel("e", 12),
+            Terminal(TerminalKind.LOWER, 3),
+            generate(6),
+            program(6, SubExprKey(upper(1), lower(5))),
+        ],
+        ids=["label", "terminal", "expression", "program"],
+    )
+    def test_round_trips_give_an_equal_object(self, value):
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in copies:
+            assert type(clone) is type(value)
+            assert self.fields(clone) == self.fields(value)
