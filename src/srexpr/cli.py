@@ -14,7 +14,6 @@ JSON payloads carry "schema_version": 1.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import complexity
@@ -44,8 +43,14 @@ def _parse_terminal_pair(text: str) -> tuple[Terminal, Terminal]:
     return _parse_terminal(parts[0]), _parse_terminal(parts[1])
 
 
+def _json_text(payload: dict) -> str:
+    import json  # only --output json needs it; every other run would pay the import
+
+    return json.dumps(payload, indent=2)
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -71,7 +76,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             # The AST goes in last, spliced into the payload's text rather
             # than built as a dict tree: the layout is json.dumps(indent=2).
             payload["expression"] = to_text(program, separator)
-            head = json.dumps(payload, indent=2)
+            head = _json_text(payload)
             sys.stdout.write(head[: -len("\n}")])
             sys.stdout.write(',\n  "ast": ')
             ast_text = to_json_text(program)

@@ -17,10 +17,9 @@ that fail the path-set oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, IntegrityError, InvalidSizeError
 from .expr import literal_count, to_text
@@ -63,8 +62,7 @@ _CLOSED_FORM_MIDDLE = {
 }
 
 
-@dataclass(frozen=True)
-class ComplexityRow:
+class ComplexityRow(NamedTuple):
     """Literal counts at one size.  The combined dipterous count exists only
     for sizes above 2; below that the trapezoid and parallelogram counts
     differ and are reported separately."""

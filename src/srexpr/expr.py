@@ -4,6 +4,10 @@ Sums and products of literals, plus the unit One of the empty subgraph.
 Nodes are immutable; `make_sum` / `make_product` flatten nested nodes of the
 same type, drop One from products and collapse single children, so every
 Sum/Prod has two or more children and printed text is one-to-one with ASTs.
+Nodes are `__slots__` classes and `Monomial` is a NamedTuple, not
+dataclasses: importing `dataclasses` (which loads `inspect` and `ast`) and
+building the classes cost every CLI run about 20 ms of start-up (Python
+3.11, 2-vCPU VM).
 
 A `Program` is an expression as a table of its distinct nodes, one integer
 slot each.  The generator and `from_json` build straight into that table
@@ -25,9 +29,8 @@ the unit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CapacityError, MalformedExpressionError, UnboundLabelError
 from .graph import EdgeLabel
@@ -37,29 +40,65 @@ DEFAULT_PRIME = (1 << 61) - 1
 
 
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    A node's fields are its `__slots__`.  Nodes are equal when they have the
+    same type and equal fields, so `Sum((a, b)) != Prod((a, b))`; they hash
+    by their fields, and assigning a field raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable node")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable node")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+
+class Lit(Expr):
+    __slots__ = ("label",)
+
+    def __init__(self, label: EdgeLabel) -> None:
+        object.__setattr__(self, "label", label)
+
+
+class One(Expr):
+    """The unit: the expression of a one-vertex subgraph."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Lit(Expr):
-    label: EdgeLabel
-
-
-@dataclass(frozen=True, slots=True)
-class One(Expr):
-    """The unit: the expression of a one-vertex subgraph."""
-
-
-@dataclass(frozen=True, slots=True)
 class Sum(Expr):
-    children: tuple[Expr, ...]
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[Expr, ...]) -> None:
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True, slots=True)
 class Prod(Expr):
-    children: tuple[Expr, ...]
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[Expr, ...]) -> None:
+        object.__setattr__(self, "children", children)
 
 
 ONE = One()
@@ -94,8 +133,7 @@ def lit(text: str) -> Lit:
     return Lit(EdgeLabel.parse(text))
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
+class Monomial(NamedTuple):
     """A sequence of edge labels sorted by (letter, index); one per graph
     path.  `of` sorts arbitrary input.  Monomials are ordered as their label
     tuples are, item by item.  Graph monomials are squarefree (paths never
@@ -181,7 +219,8 @@ class Program:
     child slot is below its parent, which is all a pass over the table needs
     (the order is not necessarily a DFS post-order).  Leaves count from the
     end: slot -1 is the unit and -(j + 2) labels[j].  The expression is slot
-    `root`.  Not a dataclass: that costs every CLI run 1 ms at import."""
+    `root`.  Programs are equal when their tables are, and `pickle` and
+    `copy` rebuild them through the constructor."""
 
     __slots__ = ("labels", "is_product", "children", "root")
 
@@ -196,6 +235,20 @@ class Program:
         self.is_product = is_product
         self.children = children
         self.root = root
+
+    def _astuple(self) -> tuple:
+        return self.labels, self.is_product, self.children, self.root
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
 
     def run(self, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME) -> int:
         """Value of the expression modulo `prime`; see `evaluate`."""

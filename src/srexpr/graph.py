@@ -23,10 +23,9 @@ from __future__ import annotations
 import enum
 import heapq
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CapacityError,
@@ -188,8 +187,7 @@ _DIPTEROUS = {
 }
 
 
-@dataclass(frozen=True)
-class SubgraphKind:
+class SubgraphKind(NamedTuple):
     """Family plus size (the number of basic vertices the subgraph spans)."""
 
     family: Family

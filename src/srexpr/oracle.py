@@ -23,9 +23,7 @@ inside products.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import CapacityError, DomainError, UnboundLabelError
@@ -125,17 +123,42 @@ def dp_eval(
     return value[g.sink]
 
 
-@dataclass
 class VerificationReport:
-    """Outcome of one oracle run; a failure always carries a witness."""
+    """Outcome of one oracle run; a failure always carries a witness.
 
-    mode: str  # "exact" | "fingerprint"
-    result: str  # "pass" | "fail"
-    trials: int | None = None
-    seed: int | None = None
-    prime: int | None = None
-    witness: dict | None = None
-    detail: dict = field(default_factory=dict)
+    Reports are equal when all their fields are."""
+
+    _FIELDS = ("mode", "result", "trials", "seed", "prime", "witness", "detail")
+
+    def __init__(
+        self,
+        mode: str,  # "exact" | "fingerprint"
+        result: str,  # "pass" | "fail"
+        trials: int | None = None,
+        seed: int | None = None,
+        prime: int | None = None,
+        witness: dict | None = None,
+        detail: dict | None = None,
+    ) -> None:
+        self.mode = mode
+        self.result = result
+        self.trials = trials
+        self.seed = seed
+        self.prime = prime
+        self.witness = witness
+        self.detail = {} if detail is None else detail
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._FIELDS])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"VerificationReport({fields})"
 
     @property
     def passed(self) -> bool:
@@ -271,6 +294,8 @@ def _least(codes: list[int], labels: list[EdgeLabel], width: int) -> Monomial:
 def _assignment_digest(names: list[str], values: list[int]) -> str:
     """Digest of an assignment: `names[i]` is "<label>=" of the i-th label in
     sorted order and `values[i]` its value."""
+    import hashlib  # only a fingerprint check needs it; every run would pay the import
+
     payload = ",".join(map(str.__add__, names, map(str, values)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 

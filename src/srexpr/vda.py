@@ -42,8 +42,8 @@ steps and builds no expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import BaseCaseExpectedError, DomainError, InvalidSizeError, RangeError
 from .expr import Expr, Program, ProgramBuilder, to_expr
@@ -64,8 +64,7 @@ from .graph import (
 MAX_SIZE = (1 << 257) - 1
 
 
-@dataclass(frozen=True)
-class SubExprKey:
+class SubExprKey(NamedTuple):
     """Terminal pair identifying one subexpression."""
 
     src: Terminal
@@ -179,7 +178,7 @@ _BASE_BUILDERS = {
 
 
 def _base(h, src: Terminal, dst: Terminal, kind: SubgraphKind):
-    entry = _BASE_BUILDERS.get((kind.family, kind.size))
+    entry = _BASE_BUILDERS.get(kind)
     if entry is None:
         raise BaseCaseExpectedError(f"{src}->{dst} (size {kind.size}) is not a base case")
     builder, letters = entry

@@ -304,6 +304,48 @@ class TestHashSeed:
         assert outputs[0] == outputs[1] != ""
 
 
+class TestImports:
+    """A command loads only the modules it runs.  Each runs in a fresh
+    interpreter, because pytest itself imports all of these."""
+
+    HEAVY = ("dataclasses", "inspect", "json", "hashlib")
+
+    @staticmethod
+    def loaded(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        script = (
+            "import sys\n"
+            "from srexpr.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        return set(done.stderr.split())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("gen", "30"), ("gen", "5", "--count-only"), ("verify", "6")],
+        ids=["gen", "gen-count-only", "verify-exact"],
+    )
+    def test_text_commands_load_none_of_them(self, argv):
+        modules = self.loaded(*argv)
+        assert "srexpr.oracle" in modules and modules.isdisjoint(self.HEAVY)
+
+    def test_fingerprint_loads_only_hashlib(self):
+        modules = self.loaded("verify", "6", "--mode", "fingerprint")
+        assert "hashlib" in modules
+        assert modules.isdisjoint({"dataclasses", "inspect", "json"})
+
+    def test_json_output_loads_json(self):
+        assert "json" in self.loaded("gen", "5", "--output", "json")
+
+
 class TestDot:
     def test_whole_graph(self, capsys):
         code, out, _ = run(capsys, "dot", "2")

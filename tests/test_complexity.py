@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from srexpr import (
+    ComplexityRow,
     DomainError,
     InvalidSizeError,
     LEADING_TERM_COEFFICIENTS,
@@ -78,6 +79,20 @@ class TestRecurrence:
         assert (second.dipterous_parallelogram, second.dipterous_trapezoidal) == (12, 11)
         assert rows[2].dipterous == 28
         assert rows[7].sr == 247
+
+    def test_row_defaults_and_fields(self):
+        row = ComplexityRow(5, 66, 79, 92)
+        assert row.dipterous_parallelogram is None and row.dipterous_trapezoidal is None
+        assert row == recurrence_table(5)[4]
+        assert row._fields == (
+            "n", "sr", "single_leaf", "dipterous", "dipterous_parallelogram", "dipterous_trapezoidal"
+        )
+        assert repr(row) == (
+            "ComplexityRow(n=5, sr=66, single_leaf=79, dipterous=92, "
+            "dipterous_parallelogram=None, dipterous_trapezoidal=None)"
+        )
+        with pytest.raises(AttributeError):
+            row.sr = 0
 
     def test_strictly_increasing(self):
         values = [row.sr for row in recurrence_table(32)[1:]]

@@ -390,3 +390,71 @@ class TestMonomial:
         a = Monomial.of([EdgeLabel("a", 1)])
         b = Monomial.of([EdgeLabel("a", 1), EdgeLabel("b", 1)])
         assert a < b
+
+    def test_of_returns_a_sorted_monomial(self):
+        m = Monomial.of([EdgeLabel("e", 2), EdgeLabel("b", 3), EdgeLabel("b", 1)])
+        assert type(m) is Monomial
+        assert m.labels == (EdgeLabel("b", 1), EdgeLabel("b", 3), EdgeLabel("e", 2))
+        assert m == Monomial.of(reversed(m.labels))
+
+    def test_order_is_label_tuple_order(self):
+        monomials = [
+            Monomial.of([EdgeLabel("b", 1), EdgeLabel("c", 1)]),
+            EMPTY_MONOMIAL,
+            Monomial.of([EdgeLabel("a", 2)]),
+            Monomial.of([EdgeLabel("b", 1)]),
+            Monomial.of([EdgeLabel("a", 10)]),
+        ]
+        assert sorted(monomials) == sorted(monomials, key=lambda m: m.labels)
+        assert [str(m) for m in sorted(monomials)] == ["1", "a2", "a10", "b1", "b1*c1"]
+
+    def test_repr_names_the_field(self):
+        assert repr(Monomial.of([EdgeLabel("a", 1)])) == (
+            "Monomial(labels=(EdgeLabel(letter='a', index=1),))"
+        )
+
+
+class TestNodes:
+    """Nodes compare and hash by type and fields, and cannot be changed."""
+
+    def test_sum_and_product_of_the_same_children_differ(self):
+        children = (lit("b1"), lit("c2"))
+        assert Sum(children) != Prod(children)
+        assert Prod(children) != Sum(children)
+        assert Sum(children) == Sum(children) and Prod(children) == Prod(children)
+
+    def test_equal_literals_hash_equal(self):
+        first, second = Lit(EdgeLabel("e", 7)), lit("e7")
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, lit("e8")}) == 2
+
+    def test_equal_trees_built_apart_are_equal(self):
+        assert from_json(to_json(sr3_expr())) == sr3_expr()
+        assert hash(from_json(to_json(sr3_expr()))) == hash(sr3_expr())
+        assert One() == ONE and hash(One()) == hash(ONE)
+
+    def test_a_node_is_not_equal_to_its_fields(self):
+        assert Lit(EdgeLabel("b", 1)) != (EdgeLabel("b", 1),)
+        assert ONE != ()
+
+    @pytest.mark.parametrize(
+        "node,field",
+        [(lit("b1"), "label"), (make_sum([lit("b1"), lit("c1")]), "children"), (ONE, "label")],
+        ids=["lit", "sum", "one"],
+    )
+    def test_assigning_or_deleting_a_field_raises(self, node, field):
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+        with pytest.raises(AttributeError):
+            node.extra = 1
+
+    def test_repr_names_the_fields(self):
+        assert repr(Lit(EdgeLabel("b", 1))) == "Lit(label=EdgeLabel(letter='b', index=1))"
+        assert repr(ONE) == "One()"
+        assert repr(make_product([lit("a2"), ONE, lit("c1")])) == (
+            "Prod(children=(Lit(label=EdgeLabel(letter='a', index=2)), "
+            "Lit(label=EdgeLabel(letter='c', index=1))))"
+        )

@@ -13,6 +13,7 @@ from srexpr import (
     Monomial,
     OrderingError,
     RangeError,
+    SubgraphKind,
     Terminal,
     TerminalKind,
     basic,
@@ -218,6 +219,24 @@ class TestClassify:
         assert kind.family is Family.PARA_LOWER_UPPER
         assert kind.size == 2
         assert kind.is_parallelogram
+
+    def test_kind_is_its_family_and_size(self):
+        kind = classify(upper(2), lower(6))
+        assert kind == SubgraphKind(Family.PARA_UPPER_LOWER, 4)
+        assert hash(kind) == hash(SubgraphKind(Family.PARA_UPPER_LOWER, 4))
+        assert kind != SubgraphKind(Family.PARA_LOWER_UPPER, 4)
+        assert repr(kind) == (
+            "SubgraphKind(family=<Family.PARA_UPPER_LOWER: 'para-upper-lower'>, size=4)"
+        )
+        with pytest.raises(AttributeError):
+            kind.size = 5
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_each_family_has_exactly_one_shape(self, family):
+        kind = SubgraphKind(family, 3)
+        shapes = (kind.is_trapezoidal, kind.is_parallelogram, kind.is_single_leaf)
+        assert sum(shapes) == (family is not Family.SR)
+        assert kind.is_dipterous == (kind.is_trapezoidal or kind.is_parallelogram)
 
     def test_single_leaf_size_one_pairs(self):
         assert classify(basic(4), upper(4)).size == 1

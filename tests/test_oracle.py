@@ -439,3 +439,34 @@ class TestReportJson:
         assert set(obj) == {"mode", "result", "trials", "seed", "prime", "witness"}
         assert obj["trials"] is None and obj["seed"] is None and obj["prime"] is None
         json.dumps(obj)
+
+
+class TestReport:
+    """`VerificationReport` compares by its fields and owns its detail."""
+
+    def test_defaults(self):
+        report = VerificationReport("exact", "pass")
+        assert (report.trials, report.seed, report.prime, report.witness) == (None,) * 4
+        assert report.detail == {}
+
+    def test_each_report_gets_a_fresh_detail(self):
+        first, second = VerificationReport("exact", "pass"), VerificationReport("exact", "pass")
+        first.detail["graph_paths"] = 3
+        assert second.detail == {}
+
+    def test_equality_is_by_fields(self):
+        g = build_sr(4)
+        assert check_exact(generate(4), g) == check_exact(generate(4), g)
+        reports = [check_fingerprint(generate(4), g, seed=seed) for seed in (3, 3, 4)]
+        assert reports[0] == reports[1] != reports[2]
+        assert VerificationReport("exact", "pass") != VerificationReport("exact", "fail")
+        assert VerificationReport("exact", "pass", detail={"graph_paths": 1}) != (
+            VerificationReport("exact", "pass", detail={"graph_paths": 2})
+        )
+        assert VerificationReport("exact", "pass") != ("exact", "pass")
+
+    def test_repr_lists_every_field(self):
+        assert repr(VerificationReport("fingerprint", "pass", trials=2, seed=7)) == (
+            "VerificationReport(mode='fingerprint', result='pass', trials=2, seed=7, "
+            "prime=None, witness=None, detail={})"
+        )

@@ -575,3 +575,40 @@ class TestCopies:
         for clone in copies:
             assert type(clone) is type(value)
             assert self.fields(clone) == self.fields(value)
+
+
+class TestEveryPickleProtocol:
+    """Tables and nodes pickle at every protocol, 0 and 1 included, and a
+    table compares equal to its copy."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            program(6, SubExprKey(upper(1), lower(5))),
+            generate(6),
+            Lit(EdgeLabel("c", 4)),
+            One(),
+            SubExprKey(basic(2), upper(5)),
+        ],
+        ids=["program", "expression", "literal", "unit", "key"],
+    )
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip(self, value, protocol):
+        clone = pickle.loads(pickle.dumps(value, protocol))
+        assert type(clone) is type(value)
+        assert clone == value and hash(clone) == hash(value)
+
+    def test_programs_compare_by_their_table(self):
+        key = SubExprKey(upper(1), lower(5))
+        first, second = program(6, key), program(6, key)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != program(7, SubExprKey(upper(1), lower(6)))
+        assert first != (first.labels, first.is_product, first.children, first.root)
+
+    def test_key_is_its_two_terminals(self):
+        key = SubExprKey(upper(1), lower(5))
+        assert (key.src, key.dst) == (upper(1), lower(5))
+        assert key == SubExprKey(upper(1), lower(5)) != SubExprKey(upper(1), lower(4))
+        with pytest.raises(AttributeError):
+            key.src = basic(1)
