@@ -15,15 +15,18 @@ with a `ProgramBuilder`, which applies the same normalization to slots and
 hash-conses them (Filliatre & Conchon, "Type-safe modular hash-consing",
 2006): one slot per label, by (letter, index), and one per (type, flattened
 children).  `to_expr` turns a table into an Expr with one node per slot and
-one Lit per label; `compile_program` lowers any Expr to a table.  Literals
-are counted per occurrence.
+one Lit per label.  `compile_program` lowers any Expr to a table, and is the
+only code that walks Expr nodes: it hash-conses on slots without
+normalizing, so equal expressions lower to equal tables, and `==` and
+`hash` of nodes compare and hash those tables at the cost of the DAG.
+Literals are counted per occurrence.
 
-Evaluation is a flat loop over the table.  `to_text`, `to_json_text`, the
-counts and the exact oracle's monomial codes are `_fold`s over it, which
-hand each slot its children's values, so each distinct node is rendered or
-counted once; they take an Expr or a Program alike.  A hand-built empty Sum
-or Prod, which `make_sum` / `make_product` never make, folds as zero or as
-the unit.
+Evaluation is a flat loop over the table.  `to_text`, `to_json`,
+`to_json_text`, the counts and the exact oracle's monomial codes are `_fold`s
+over it, which hand each slot its children's values, so each distinct node
+is rendered or counted once; `iter_expansion` streams over it.  Every pass
+takes an Expr or a Program alike.  A hand-built empty Sum or Prod, which
+`make_sum` / `make_product` never make, folds as zero or as the unit.
 """
 
 from __future__ import annotations
@@ -43,22 +46,21 @@ class Expr:
     """Base class for expression nodes.
 
     A node's fields are its `__slots__`.  Nodes are equal when they have the
-    same type and equal fields, so `Sum((a, b)) != Prod((a, b))`; they hash
-    by their fields, and assigning a field raises AttributeError.
+    same type and equal fields, so `Sum((a, b)) != Prod((a, b))`, and
+    assigning a field raises AttributeError.  Equal nodes lower to equal
+    hash-consed tables, so `==` and `hash` compare and hash those tables:
+    their cost is that of the DAG, not of the tree written out.
     """
 
     __slots__ = ()
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return self is other or compile_program(self) == compile_program(other)
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(compile_program(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -71,7 +73,7 @@ class Expr:
         raise AttributeError(f"cannot delete field {name!r} of an immutable node")
 
     def __reduce__(self) -> tuple:
-        return type(self), self._astuple()
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
 class Lit(Expr):
@@ -168,30 +170,28 @@ def expansion_size(e: Expr | Program) -> int:
     return _fold(program, lambda label: 1, node)
 
 
-def iter_expansion(e: Expr) -> Iterator[Monomial]:
-    """Stream the distributive expansion of `e`, one monomial at a time; a
-    factor's expansion is listed once per shared subterm, so memory is bounded
-    by the factor expansions, not by the output."""
+def iter_expansion(e: Expr | Program) -> Iterator[Monomial]:
+    """Stream the distributive expansion of `e`, one monomial at a time, over
+    its slot table; a product factor's expansion is listed once per slot, so
+    memory is bounded by the factor expansions, not by the output."""
+    program = compile_program(e)
+    labels, is_product, children = program.labels, program.is_product, program.children
     memo: dict[int, list[Monomial]] = {}
 
-    def listed(node: Expr) -> list[Monomial]:
-        key = id(node)
-        cached = memo.get(key)
+    def listed(slot: int) -> list[Monomial]:
+        cached = memo.get(slot)
         if cached is None:
-            cached = list(stream(node))
-            memo[key] = cached
+            cached = memo[slot] = list(stream(slot))
         return cached
 
-    def stream(node: Expr) -> Iterator[Monomial]:
-        if isinstance(node, Lit):
-            yield Monomial((node.label,))
-        elif isinstance(node, One):
-            yield EMPTY_MONOMIAL
-        elif isinstance(node, Sum):
-            for child in node.children:
+    def stream(slot: int) -> Iterator[Monomial]:
+        if slot < 0:
+            yield EMPTY_MONOMIAL if slot == -1 else Monomial((labels[-2 - slot],))
+        elif not is_product[slot]:
+            for child in children[slot]:
                 yield from stream(child)
         else:
-            factor_lists = [listed(child) for child in node.children]
+            factor_lists = [listed(child) for child in children[slot]]
             for combo in itertools.product(*factor_lists):
                 merged: list[EdgeLabel] = []
                 for part in combo:
@@ -199,16 +199,17 @@ def iter_expansion(e: Expr) -> Iterator[Monomial]:
                 merged.sort()
                 yield Monomial(tuple(merged))
 
-    return stream(e)
+    return stream(program.root)
 
 
-def expand(e: Expr, limit: int = 10**6) -> list[Monomial]:
+def expand(e: Expr | Program, limit: int = 10**6) -> list[Monomial]:
     """Full distributive expansion as a list of monomials; CapacityError,
     before building any, past `limit` monomials."""
-    size = expansion_size(e)
+    program = compile_program(e)
+    size = expansion_size(program)
     if size > limit:
         raise CapacityError.exceeded(size, "monomials", limit)
-    return list(iter_expansion(e))
+    return list(iter_expansion(program))
 
 
 class Program:
@@ -364,12 +365,17 @@ def to_expr(program: Program) -> Expr:
 
 
 def compile_program(e: Expr | Program) -> Program:
-    """Lower `e` to a Program: a slot per distinct label and per distinct (by
-    identity) sum or product, in post-order.  A Program is returned as it is."""
+    """Lower `e` to a Program, hash-consed: a slot per distinct label and per
+    distinct (type, children's slots) sum or product, in post-order, with
+    nothing normalized.  So equal expressions lower to equal tables however
+    they share nodes.  This is the one walk over Expr nodes, once per node
+    object; every other pass reads the table.  A Program is returned as it is."""
     if isinstance(e, Program):
         return e
     label_slots: dict[EdgeLabel, int] = {}
     slot_of: dict[int, int] = {}
+    # The slots of sums and of products, by their children's slots.
+    interned: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
     is_product = bytearray()
     children: list[tuple[int, ...]] = []
 
@@ -381,10 +387,12 @@ def compile_program(e: Expr | Program) -> Program:
             elif isinstance(node, One):
                 slot = -1
             else:
+                product = not isinstance(node, Sum)
                 slots = tuple([visit(child) for child in node.children])
-                slot = len(children)
-                children.append(slots)
-                is_product.append(not isinstance(node, Sum))
+                slot = interned[product].setdefault(slots, len(children))
+                if slot == len(children):
+                    children.append(slots)
+                    is_product.append(product)
             slot_of[id(node)] = slot
         return slot
 
@@ -459,14 +467,14 @@ def to_json_text(e: Expr | Program) -> str:
     return _fold(program, leaf, node)
 
 
-def to_json(e: Expr) -> dict:
+def to_json(e: Expr | Program) -> dict:
     """AST as JSON-serializable nesting: {"lit": "b1"} | {"one": true} |
-    {"sum": [...]} | {"prod": [...]}."""
-    if isinstance(e, Lit):
-        return {"lit": str(e.label)}
-    if isinstance(e, One):
-        return {"one": True}
-    return {"sum" if isinstance(e, Sum) else "prod": [to_json(child) for child in e.children]}
+    {"sum": [...]} | {"prod": [...]}.  A fold over the slot table, so each
+    distinct node is one dict, shared by every list that holds it."""
+    program = compile_program(e)
+    is_product = program.is_product
+    leaf = lambda label: {"one": True} if label is None else {"lit": str(label)}
+    return _fold(program, leaf, lambda k, items: {"prod" if is_product[k] else "sum": items})
 
 
 def from_json(obj: dict) -> Expr:

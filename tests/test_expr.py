@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -33,9 +34,10 @@ from srexpr import (
     to_json,
     to_text,
 )
-from srexpr.expr import compile_program, to_json_text
+from srexpr.expr import compile_program, iter_expansion, to_json_text
 from srexpr.graph import Terminal, lower, path_count, upper
-from srexpr.vda import SubExprKey, expression
+from srexpr.vda import SubExprKey, expression, program
+from test_vda import terminal_pairs
 
 
 def sr2_expr(p=1):
@@ -458,3 +460,60 @@ class TestNodes:
             "Prod(children=(Lit(label=EdgeLabel(letter='a', index=2)), "
             "Lit(label=EdgeLabel(letter='c', index=1))))"
         )
+
+
+def distinct_nodes(e):
+    """Every node object reachable from `e`, once each."""
+    seen = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, "children", ()))
+    return list(seen.values())
+
+
+def seconds(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
+class TestSlotTable:
+    """Every pass but `compile_program` reads the hash-consed slot table."""
+
+    def test_equal_nodes_built_apart_share_a_slot(self):
+        a, b = lit("b1"), lit("c1")
+        e = Sum((Prod((a, b)), Prod((a, b))))
+        assert compile_program(e).children == ((-2, -3), (0, 0))
+        first, second = to_json(e)["sum"]
+        assert first is second
+
+    @pytest.mark.parametrize("e", [generate(16), generate(64)], ids=["sr16", "sr64"])
+    def test_json_round_trip_makes_one_node_object_per_slot(self, e):
+        # `compile_program` merges equal nodes, so a slot count alone cannot
+        # tell whether `from_json` shares them
+        rebuilt = from_json(to_json(e))
+        sums_and_products = [x for x in distinct_nodes(rebuilt) if isinstance(x, (Sum, Prod))]
+        assert len(sums_and_products) == len(compile_program(e).children)
+
+    def test_program_and_expression_passes_agree_on_every_pair_of_sr6(self):
+        checked = 0
+        for src, dst in terminal_pairs(build_sr(6)):
+            key = SubExprKey(src, dst)
+            p, e = program(6, key), expression(6, key)
+            assert expand(p) == expand(e), key
+            assert list(iter_expansion(p)) == list(iter_expansion(e)), key
+            assert to_json(p) == to_json(e), key
+            checked += 1
+        assert checked > 100
+
+    def test_hash_equality_and_json_of_sr512_cost_the_dag(self):
+        # generate(512) has 11.5M literals written out, and 16,457 slots
+        first, second = generate(512), generate(512)
+        assert first is not second
+        assert seconds(hash, first) < 2
+        assert seconds(lambda: first == second) < 2
+        assert seconds(to_json, first) < 2
+        assert first == second and hash(first) == hash(second)

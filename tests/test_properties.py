@@ -1,5 +1,5 @@
-"""Property tests: the count fold, the JSON round trip and the two oracles
-on random inputs."""
+"""Property tests: the count fold, the JSON round trip, node equality and
+the two oracles on random inputs."""
 
 import pytest
 
@@ -11,6 +11,7 @@ from srexpr import (  # noqa: E402
     EdgeLabel,
     Lit,
     ONE,
+    One,
     Prod,
     Sum,
     build_sr,
@@ -100,3 +101,44 @@ def test_oracles_agree_on_hand_built_expressions(case):
         hypothesis.reject()
     assert_same_report(report, reference_check_exact(e, g, limit=10**4))
     assert check_fingerprint(e, g, trials=3).passed == report.passed
+
+
+def nodes_of(e):
+    """Every node of `e`, once per occurrence."""
+    yield e
+    for child in getattr(e, "children", ()):
+        yield from nodes_of(child)
+
+
+def same_fields(x, y):
+    """Field-wise equality: the same type, then equal labels or children
+    item by item."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, (Sum, Prod)):
+        return len(x.children) == len(y.children) and all(map(same_fields, x.children, y.children))
+    return not isinstance(x, Lit) or x.label == y.label
+
+
+def fresh_copy(e):
+    """A copy of `e` that shares no node object with it."""
+    if isinstance(e, Lit):
+        return Lit(EdgeLabel(*e.label))
+    if isinstance(e, One):
+        return One()
+    return type(e)(tuple([fresh_copy(child) for child in e.children]))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(hand_built_cases(), hand_built_cases())
+def test_equality_is_field_wise_and_hash_agrees(first, second):
+    a, b = first[0], second[0]
+    nodes = [*nodes_of(a), *nodes_of(b)]
+    for x in nodes:
+        for y in nodes:
+            assert (x == y) == same_fields(x, y), (x, y)
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    copy = fresh_copy(a)
+    assert not {id(node) for node in nodes_of(copy)} & {id(node) for node in nodes_of(a)}
+    assert copy == a and hash(copy) == hash(a)
