@@ -7,13 +7,15 @@ table (comparison against the published reference columns), closed-form
 Exit codes: 0 success or verification pass, 1 verification or consistency
 failure, 2 usage or input error (any SrexprError, such as --trials 0 or a
 --prime that is not a prime above 2(n-1)), 3 an unexpected internal error,
-with its traceback on stderr.  All output is deterministic for fixed flags;
-JSON payloads carry "schema_version": 1.
+with its traceback on stderr, 141 the reader closed the output pipe early
+(the status a shell reports for a filter that SIGPIPE ended).  All output is
+deterministic for fixed flags; JSON payloads carry "schema_version": 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import complexity
@@ -260,7 +262,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so an error on the last buffered write is caught here
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (`srexpr gen 64 | head`): the exit status
+        # a shell reports for a filter that SIGPIPE ended, and stdout pointed
+        # at the null device so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SrexprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,22 +10,25 @@ building the classes cost every CLI run about 20 ms of start-up (Python
 3.11, 2-vCPU VM).
 
 A `Program` is an expression as a table of its distinct nodes, one integer
-slot each.  The generator and `from_json` build straight into that table
-with a `ProgramBuilder`, which applies the same normalization to slots and
-hash-conses them (Filliatre & Conchon, "Type-safe modular hash-consing",
-2006): one slot per label, by (letter, index), and one per (type, flattened
-children).  `to_expr` turns a table into an Expr with one node per slot and
-one Lit per label.  `compile_program` lowers any Expr to a table, and is the
-only code that walks Expr nodes: it hash-conses on slots without
-normalizing, so equal expressions lower to equal tables, and `==` and
-`hash` of nodes compare and hash those tables at the cost of the DAG.
-Literals are counted per occurrence.
+slot each.  `ProgramBuilder` is the one interner of such tables, after
+Filliatre & Conchon ("Type-safe modular hash-consing", 2006): `lit` makes
+one slot per label, by (letter, index), and `_intern` one per (type,
+children's slots).  The generator and `from_json` build through its `sum`
+and `product`, which first apply the normalization above to slots.
+`compile_program` lowers any Expr to a table, and is the only code that
+walks Expr nodes: it hands each node's children's slots to `_intern` as
+they are, without normalizing, so equal expressions lower to equal tables,
+and `==` and `hash` of nodes compare and hash those tables at the cost of
+the DAG.  Literals are counted per occurrence.
 
-Evaluation is a flat loop over the table.  `to_text`, `to_json`,
-`to_json_text`, the counts and the exact oracle's monomial codes are `_fold`s
-over it, which hand each slot its children's values, so each distinct node
-is rendered or counted once; `iter_expansion` streams over it.  Every pass
-takes an Expr or a Program alike.  A hand-built empty Sum or Prod, which
+Every other pass over a table is a `_fold`, which hands each slot its
+children's values, so each distinct node is built, rendered or counted
+once: `to_expr` (one node per slot, one Lit per label), `to_text`,
+`to_json`, `to_json_text`, the counts and the exact oracle's monomial
+codes.  Two are not.  `Program.run`, the fingerprint oracle's inner loop,
+stays a flat loop over modular ints for speed, and `iter_expansion`
+streams monomials, which a fold of whole values cannot.  Every pass takes
+an Expr or a Program alike.  A hand-built empty Sum or Prod, which
 `make_sum` / `make_product` never make, folds as zero or as the unit.
 """
 
@@ -269,11 +272,12 @@ class Program:
 
 
 class ProgramBuilder:
-    """The build algebra whose values are Program slots: `lit` and `one` are
-    leaf slots, and `sum` / `product` normalize like `make_sum` /
-    `make_product` (through the children of slots already built here) and
-    hash-cons, so a sum or product of a type and children already built is
-    that slot; both are one constructor, `_node`, told which type to make.
+    """The build algebra whose values are Program slots, and the one interner
+    of tables: `lit` and `one` are leaf slots, and `sum` / `product`
+    normalize like `make_sum` / `make_product` (through the children of
+    slots already built here), then hash-cons through `_intern`, so a sum
+    or product of a type and children already built is that slot.
+    `compile_program` calls `_intern` directly, on children as they are.
     `finish` makes the Program of one root."""
 
     __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
@@ -313,13 +317,17 @@ class ProgramBuilder:
             if flat or product:
                 return flat[0] if flat else -1  # an empty product is the unit
             raise ValueError("a sum needs at least one addend")
-        key = tuple(flat)
+        return self._intern(product, tuple(flat))
+
+    def _intern(self, product: int, key: tuple[int, ...]) -> int:
+        """The slot of the sum (product 0) or product (1) over the slots
+        `key`, taken as they are: the one already built, or a new one."""
         interned = self._interned[product]
         slot = interned.get(key)
         if slot is None:
-            slot = interned[key] = len(children)
-            children.append(key)
-            is_product.append(product)
+            slot = interned[key] = len(self.children)
+            self.children.append(key)
+            self.is_product.append(product)
         return slot
 
     def finish(self, root: int) -> Program:
@@ -352,16 +360,10 @@ class ProgramBuilder:
 
 def to_expr(program: Program) -> Expr:
     """The expression of `program`, one node per slot (hash-consed as the
-    table is), and one Lit per label slot."""
-    nodes: list[Expr] = [ONE] * len(program.children)
-    nodes += [Lit(label) for label in reversed(program.labels)]
-    nodes.append(ONE)
-    node_at = nodes.__getitem__
-    slot = 0
-    for is_product, slots in zip(program.is_product, program.children):
-        nodes[slot] = (Prod if is_product else Sum)(tuple(map(node_at, slots)))
-        slot += 1
-    return nodes[program.root]
+    table is), and one Lit per label slot: a `_fold` of node constructors."""
+    is_product = program.is_product
+    leaf = lambda label: ONE if label is None else Lit(label)
+    return _fold(program, leaf, lambda k, nodes: (Prod if is_product[k] else Sum)(tuple(nodes)))
 
 
 def compile_program(e: Expr | Program) -> Program:
@@ -369,35 +371,30 @@ def compile_program(e: Expr | Program) -> Program:
     distinct (type, children's slots) sum or product, in post-order, with
     nothing normalized.  So equal expressions lower to equal tables however
     they share nodes.  This is the one walk over Expr nodes, once per node
-    object; every other pass reads the table.  A Program is returned as it is."""
+    object, and it interns through a fresh `ProgramBuilder` (`lit` and
+    `_intern`); every other pass reads the table.  A Program is returned as
+    it is."""
     if isinstance(e, Program):
         return e
-    label_slots: dict[EdgeLabel, int] = {}
+    h = ProgramBuilder()
     slot_of: dict[int, int] = {}
-    # The slots of sums and of products, by their children's slots.
-    interned: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
-    is_product = bytearray()
-    children: list[tuple[int, ...]] = []
 
     def visit(node: Expr) -> int:
         slot = slot_of.get(id(node))
         if slot is None:
             if isinstance(node, Lit):
-                slot = label_slots.setdefault(node.label, -2 - len(label_slots))
+                slot = h.lit(*node.label)
             elif isinstance(node, One):
                 slot = -1
             else:
-                product = not isinstance(node, Sum)
                 slots = tuple([visit(child) for child in node.children])
-                slot = interned[product].setdefault(slots, len(children))
-                if slot == len(children):
-                    children.append(slots)
-                    is_product.append(product)
+                slot = h._intern(not isinstance(node, Sum), slots)
             slot_of[id(node)] = slot
         return slot
 
     root = visit(e)
-    return Program(tuple(label_slots), bytes(is_product), tuple(children), root)
+    # Every slot and label made is reached, so the builder's lists are the table.
+    return Program(tuple(h._labels), bytes(h.is_product), tuple(h.children), root)
 
 
 def evaluate(
@@ -481,10 +478,10 @@ def from_json(obj: dict) -> Expr:
     """Inverse of `to_json`, renormalized and hash-consed (a repeated subterm is
     one node); a payload not of that shape raises MalformedExpressionError."""
     h = ProgramBuilder()
-    return to_expr(h.finish(_from_json(obj, h)))
+    return to_expr(h.finish(_from_json(obj, h, {})))
 
 
-def _from_json(obj, h: ProgramBuilder) -> int:
+def _from_json(obj, h: ProgramBuilder, memo: dict[int, int]) -> int:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedExpressionError(f"malformed expression node: {obj!r}")
     (kind, value), = obj.items()
@@ -503,6 +500,11 @@ def _from_json(obj, h: ProgramBuilder) -> int:
     if kind in ("sum", "prod"):
         if not isinstance(value, list) or (kind == "sum" and not value):
             raise MalformedExpressionError(f"malformed {kind} node: {value!r}")
-        children = [_from_json(child, h) for child in value]
+        children = []
+        for child in value:  # by id(), so a dict shared in the payload is read once
+            slot = memo.get(id(child))
+            if slot is None:
+                slot = memo[id(child)] = _from_json(child, h, memo)
+            children.append(slot)
         return h.sum(children) if kind == "sum" else h.product(children)
     raise MalformedExpressionError(f"unknown expression node: {obj!r}")

@@ -259,10 +259,6 @@ def _validate(n: int, key: SubExprKey, rounding: str) -> None:
     classify(key.src, key.dst)  # raises OrderingError for an empty span
 
 
-def _position(src: Terminal, dst: Terminal) -> tuple[Terminal, Terminal]:
-    return src, dst
-
-
 def _shape(src: Terminal, dst: Terminal) -> tuple:
     return src.kind, dst.kind, dst.index - src.index
 
@@ -320,7 +316,7 @@ def program(n: int, key: SubExprKey, rounding: str = "ceil") -> Program:
     a `ProgramBuilder` without making an expression node."""
     _validate(n, key, rounding)
     h = ProgramBuilder()
-    return h.finish(_build(key.src, key.dst, rounding, h, {}, _position))
+    return h.finish(_build(key.src, key.dst, rounding, h, {}, SubExprKey))
 
 
 def expression(n: int, key: SubExprKey, rounding: str = "ceil") -> Expr:

@@ -378,6 +378,23 @@ class TestCrash:
         assert "Traceback" in err and "RuntimeError: boom" in err
 
 
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv", [("gen", "64"), ("gen", "24", "--output", "json")], ids=["text", "json"]
+    )
+    def test_closed_output_pipe_exits_141_quietly(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "srexpr.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()  # the output is far larger than a pipe holds
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, b"")
+
+
 class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -517,3 +517,9 @@ class TestSlotTable:
         assert seconds(lambda: first == second) < 2
         assert seconds(to_json, first) < 2
         assert first == second and hash(first) == hash(second)
+
+    def test_json_round_trip_of_sr512_costs_the_dag(self):
+        # `to_json` shares one dict per slot, so `from_json` reads each once
+        start = time.perf_counter()
+        assert from_json(to_json(generate(512))) == generate(512)
+        assert time.perf_counter() - start < 2

@@ -1,5 +1,5 @@
-"""Property tests: the count fold, the JSON round trip, node equality and
-the two oracles on random inputs."""
+"""Property tests: the count fold, the JSON round trip, node equality, the
+two table converters and the two oracles on random inputs."""
 
 import pytest
 
@@ -21,7 +21,7 @@ from srexpr import (  # noqa: E402
     literal_count,
     to_json,
 )
-from srexpr.expr import compile_program  # noqa: E402
+from srexpr.expr import compile_program, to_expr  # noqa: E402
 from srexpr.graph import OrderingError, Terminal, TerminalKind, classify  # noqa: E402
 from srexpr.vda import SubExprKey, count_literals, expression  # noqa: E402
 from test_oracle import assert_same_report, reference_check_exact  # noqa: E402
@@ -142,3 +142,14 @@ def test_equality_is_field_wise_and_hash_agrees(first, second):
     copy = fresh_copy(a)
     assert not {id(node) for node in nodes_of(copy)} & {id(node) for node in nodes_of(a)}
     assert copy == a and hash(copy) == hash(a)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(hand_built_cases())
+def test_table_converters_invert_each_other(case):
+    # hand-built tables may hold empty, single-child and same-type nested
+    # slots, which the generator and `from_json` never make
+    e = case[0]
+    p = compile_program(e)
+    assert same_fields(to_expr(p), e)
+    assert compile_program(to_expr(p)) == p
