@@ -21,14 +21,11 @@ import sys
 from . import complexity
 from . import vda
 from .errors import CapacityError, SrexprError
-from .expr import DEFAULT_PRIME, to_json_text, to_text
+from .expr import DEFAULT_PRIME, _json_pieces, to_text
 from .graph import Terminal, basic, build_sr, induced_subgraph, sr_path_count, to_dot
 from .oracle import check_exact, check_fingerprint, check_fingerprint_parameters
 
 SCHEMA_VERSION = 1
-# The JSON AST is re-indented and written this many characters at a time, so
-# no second copy of the whole text is ever held.
-_CHUNK = 1 << 20
 
 
 def _parse_terminal(text: str) -> Terminal:
@@ -81,9 +78,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             head = _json_text(payload)
             sys.stdout.write(head[: -len("\n}")])
             sys.stdout.write(',\n  "ast": ')
-            ast_text = to_json_text(program)
-            for start in range(0, len(ast_text), _CHUNK):
-                sys.stdout.write(ast_text[start : start + _CHUNK].replace("\n", "\n  "))
+            for piece in _json_pieces(program):
+                sys.stdout.write(piece.replace("\n", "\n  "))
             sys.stdout.write("\n}\n")
     elif args.count_only:
         print(count)
@@ -192,6 +188,7 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
+    vda.check_size(args.n)
     graph = build_sr(args.n)
     if args.sub is not None:
         src, dst = _parse_terminal_pair(args.sub)

@@ -439,18 +439,15 @@ def to_text(e: Expr | Program, product_separator: str = "*") -> str:
     return _fold(program, lambda label: "1" if label is None else str(label), node)
 
 
-def to_json_text(e: Expr | Program) -> str:
-    """`json.dumps(to_json(e), indent=2)`.  A node below the root keeps its
-    text indented as a list item, so a shared node is re-indented once."""
-    program = compile_program(e)
+def _json_pieces(program: Program) -> list[str]:
+    """`json.dumps(to_json(program), indent=2)` as the root's frame and items,
+    unjoined; each item is indented once, however many lists share it."""
     is_product, root = program.is_product, program.root
-
-    def block(text, nested):
-        return text.replace("\n", "\n    ") if nested else text
 
     def leaf(label):
         body = '"one": true' if label is None else f'"lit": "{label}"'
-        return block(f"{{\n  {body}\n}}", root >= 0)
+        text = f"{{\n  {body}\n}}"
+        return text.replace("\n", "\n    ") if root >= 0 else text
 
     def node(k, items):
         pieces = ['{\n  "prod": [' if is_product[k] else '{\n  "sum": [']
@@ -459,9 +456,15 @@ def to_json_text(e: Expr | Program) -> str:
         if items:
             pieces[-1] = "\n  "  # no comma after the last item
         pieces.append("]\n}")
-        return block("".join(pieces), k != root)
+        return pieces if k == root else "".join(pieces).replace("\n", "\n    ")
 
-    return _fold(program, leaf, node)
+    value = _fold(program, leaf, node)
+    return value if root >= 0 else [value]
+
+
+def to_json_text(e: Expr | Program) -> str:
+    """`json.dumps(to_json(e), indent=2)`."""
+    return "".join(_json_pieces(compile_program(e)))
 
 
 def to_json(e: Expr | Program) -> dict:

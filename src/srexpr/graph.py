@@ -55,8 +55,8 @@ class EdgeLabel(tuple):
     def __new__(cls, letter: str, index: int) -> "EdgeLabel":
         if letter not in _LETTERS:
             raise ValueError(f"edge letter must be one of {_LETTERS}, got {letter!r}")
-        if index < 1:
-            raise ValueError(f"edge index must be positive, got {index}")
+        if type(index) is not int or index < 1:
+            raise ValueError(f"edge index must be a positive int, got {index!r}")
         return tuple.__new__(cls, (letter, index))
 
     def __getnewargs__(self) -> tuple[str, int]:
@@ -105,8 +105,8 @@ class Terminal(tuple):
     kind = property(itemgetter(2))
 
     def __new__(cls, kind: TerminalKind, index: int) -> "Terminal":
-        if index < 1:
-            raise ValueError(f"terminal index must be positive, got {index}")
+        if type(index) is not int or index < 1:
+            raise ValueError(f"terminal index must be a positive int, got {index!r}")
         return tuple.__new__(cls, (index, _KIND_RANK[kind], kind))
 
     def __getnewargs__(self) -> tuple[TerminalKind, int]:

@@ -236,7 +236,10 @@ def choose_split(kind: SubgraphKind, p: int, q: int, rounding: str = "ceil") -> 
 
 
 def check_size(n: int) -> None:
-    """Raise InvalidSizeError unless 1 <= n <= MAX_SIZE."""
+    """Raise InvalidSizeError unless n is an int (not a bool) and
+    1 <= n <= MAX_SIZE."""
+    if type(n) is not int:
+        raise InvalidSizeError(f"square rhomboid size must be an int, got {n!r}")
     if n < 1:
         raise InvalidSizeError(f"square rhomboid size must be >= 1, got {n}")
     if n > MAX_SIZE:

@@ -75,7 +75,15 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "n, flags",
-        [(1, ()), (3, ()), (20, ("--juxtapose",)), (64, ()), (30, ("--sub", "b3,u20"))],
+        [
+            (1, ()),
+            (3, ()),
+            (20, ("--juxtapose",)),
+            (64, ()),
+            (30, ("--sub", "b3,u20")),
+            (3, ("--sub", "b1,u1")),  # the root is the literal e1
+            (4, ("--sub", "u1,l2")),  # the root is the product e2*d3
+        ],
     )
     def test_json_equals_dumped_payload(self, capsys, n, flags):
         # The payload as a dict tree, dumped whole: the layout the spliced
@@ -90,6 +98,23 @@ class TestGen:
         payload["expression"] = to_text(e, "" if "--juxtapose" in flags else "*")
         payload["ast"] = to_json(e)
         code, out, _ = run(capsys, "gen", str(n), *flags, "--output", "json")
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    def test_json_is_written_without_to_json_text(self, capsys, monkeypatch):
+        # The CLI writes the AST as the renderer's root pieces, never as the
+        # library's whole joined text.
+        e = generate(12)
+        payload = {"schema_version": 1, "n": 12, "literals": literal_count(e)}
+        payload["expression"] = to_text(e)
+        payload["ast"] = to_json(e)
+
+        def refuse(e):
+            raise AssertionError("the CLI built the whole AST text")
+
+        monkeypatch.setattr("srexpr.expr.to_json_text", refuse)
+        monkeypatch.setattr("srexpr.cli.to_json_text", refuse, raising=False)
+        code, out, _ = run(capsys, "gen", "12", "--output", "json")
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
 
@@ -364,6 +389,11 @@ class TestDot:
 
     def test_bad_terminal_exits_2(self, capsys):
         assert run(capsys, "dot", "7", "--sub", "u9,u2")[0] == 2
+
+    def test_size_past_the_bound_exits_2_as_gen_does(self, capsys):
+        code, out, err = run(capsys, "dot", str(MAX_SIZE + 1))
+        assert (code, out) == (2, "")
+        assert err == run(capsys, "gen", str(MAX_SIZE + 1))[2]
 
 
 class TestCrash:

@@ -34,7 +34,7 @@ from srexpr import (
     to_json,
     to_text,
 )
-from srexpr.expr import compile_program, iter_expansion, to_json_text
+from srexpr.expr import Program, compile_program, iter_expansion, to_json_text
 from srexpr.graph import Terminal, lower, path_count, upper
 from srexpr.vda import SubExprKey, expression, program
 from test_vda import terminal_pairs
@@ -334,6 +334,11 @@ class TestEmitters:
     @pytest.mark.parametrize("name, e", EMITTER_CASES, ids=[name for name, _ in EMITTER_CASES])
     def test_json_text_matches_json_dumps(self, name, e):
         assert to_json_text(e) == json.dumps(to_json(e), indent=2)
+
+    def test_json_text_of_a_leaf_root_beside_unreached_slots(self):
+        # A hand-built table may hold slots that its root does not reach.
+        program = Program((EdgeLabel("b", 1),), b"\x01", ((-2, -2),), -2)
+        assert to_json_text(program) == json.dumps({"lit": "b1"}, indent=2)
 
 
 class TestJson:

@@ -386,6 +386,16 @@ class TestIdentity:
         assert [str(x) for x in g.labels()] == ["a1", "a4294967297", "b4294967297", "c1"]
         assert path_count(g) == 4
 
+    @pytest.mark.parametrize("index", [2.0, True, "2", 0, -1])
+    def test_index_that_is_not_a_positive_int_is_refused(self, index):
+        # Terminals are constructed directly: the cache behind basic() would
+        # hand back basic(2) for basic(2.0).
+        with pytest.raises(ValueError, match="must be a positive int"):
+            EdgeLabel("b", index)
+        for kind in TerminalKind:
+            with pytest.raises(ValueError, match="must be a positive int"):
+                Terminal(kind, index)
+
     def test_terminals_differ_by_row_and_index(self):
         terminals = [Terminal(kind, i) for kind in TerminalKind for i in (1, 2, 2**32, 2**64)]
         assert len(set(terminals)) == len(terminals)

@@ -16,6 +16,7 @@ from srexpr import (
     DomainError,
     EdgeLabel,
     Family,
+    InvalidSizeError,
     Lit,
     One,
     OrderingError,
@@ -46,7 +47,7 @@ from srexpr import (
 from srexpr.cli import main
 from srexpr.expr import Program, ProgramBuilder, compile_program, iter_expansion, to_json_text
 from srexpr.graph import _interned_terminal, _iter_path_labels
-from srexpr.vda import count_literals, program
+from srexpr.vda import check_size, count_literals, program
 
 GOLDEN_SR3 = "(b1+e1*e2+d1*d2)*(b2+e3*e4+d3*d4)+e1*c1*e4+d1*a1*d4"
 
@@ -273,6 +274,13 @@ class TestGenerate:
             text.update(to_text(e).encode() + b"\n")
             json_text.update(to_json_text(e).encode() + b"\n")
         assert (text.hexdigest(), json_text.hexdigest()) == (SR12_TEXT_SHA256, SR12_JSON_SHA256)
+
+    @pytest.mark.parametrize("n", [4.0, True, "4", None])
+    def test_size_that_is_not_an_int_is_refused(self, n):
+        with pytest.raises(InvalidSizeError, match="must be an int"):
+            check_size(n)
+        with pytest.raises(InvalidSizeError, match="must be an int"):
+            generate(n)
 
     def test_out_of_range_key(self):
         with pytest.raises(RangeError):
