@@ -188,11 +188,13 @@ def cmd_closed_form(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    vda.check_size(args.n)
-    graph = build_sr(args.n)
-    if args.sub is not None:
+    if args.sub is None:
+        graph = build_sr(args.n)
+    else:
         src, dst = _parse_terminal_pair(args.sub)
-        graph = induced_subgraph(graph, src, dst)
+        # The pair rule of `gen --sub`, checked before the graph is built.
+        vda._validate(args.n, vda.SubExprKey(src, dst), "ceil")
+        graph = induced_subgraph(build_sr(args.n), src, dst)
     sys.stdout.write(to_dot(graph))
     return 0
 

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DomainError, IntegrityError, InvalidSizeError
 from .expr import literal_count, to_text
-from .graph import basic, build_sr, induced_subgraph, lower, upper
+from .graph import basic, build_sr, check_size, induced_subgraph, lower, upper
 from .oracle import check_exact
 from .vda import SubExprKey, base_expression, count_literals, reference_trap_base_variant
 
@@ -78,14 +78,15 @@ class ComplexityRow(NamedTuple):
 def derived_dipterous_count(size: int) -> int:
     """Dipterous literal count taken from the generator (trapezoidal
     orientation; equal to the parallelogram count for sizes above 2)."""
+    check_size(size)
     return count_literals(size + 2, SubExprKey(upper(1), upper(size + 1)))
 
 
-@lru_cache(maxsize=None)
+# typed=True: a bool or float size must miss the cache and reach check_size.
+@lru_cache(maxsize=None, typed=True)
 def sr_count(n: int) -> int:
     """Recurrence value for the whole-graph expression at size n."""
-    if n < 1:
-        raise InvalidSizeError(f"size must be >= 1, got {n}")
+    check_size(n)
     if n <= 2:
         return REFERENCE_SR_BASES[n]
     up, down = (n + 1) // 2, n // 2
@@ -98,11 +99,10 @@ def sr_count(n: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def single_leaf_count(n: int) -> int:
     """Recurrence value for a single-leaf expression at size n."""
-    if n < 1:
-        raise InvalidSizeError(f"size must be >= 1, got {n}")
+    check_size(n)
     if n <= 6:
         return REFERENCE_SINGLE_LEAF_BASES[n]
     up, down = (n + 1) // 2, n // 2
@@ -115,10 +115,11 @@ def single_leaf_count(n: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def dipterous_count(n: int) -> int:
     """Recurrence value for a dipterous expression at size n (n >= 3;
     trapezoid and parallelogram counts differ below that)."""
+    check_size(n)
     if n < 3:
         raise InvalidSizeError(f"the combined dipterous count needs size >= 3, got {n}")
     if n == 6:
@@ -158,6 +159,8 @@ def recurrence_table(n_max: int) -> list[ComplexityRow]:
 
 
 def _power_of_two_exponent(n: int, minimum: int) -> int:
+    if type(n) is not int or n >= minimum:  # an int below the minimum is a DomainError
+        check_size(n)
     k = n.bit_length() - 1
     if n < minimum or (1 << k) != n:
         raise DomainError(f"expected a power of two >= {minimum}, got {n}")
@@ -169,7 +172,8 @@ def closed_form(n: int) -> tuple[int, int, int]:
 
     Evaluated with rational arithmetic via n**log2(6) = 6**k and
     n**log2(3) = 3**k; a non-integer result means a transcription bug and
-    raises IntegrityError.
+    raises IntegrityError.  A size `check_size` refuses raises
+    InvalidSizeError; any other n that is not 2**k >= 4 raises DomainError.
     """
     k = _power_of_two_exponent(n, 4)
     leading = LEADING_TERM_COEFFICIENTS["1-VDA"] * 6**k
@@ -198,6 +202,7 @@ def asymptotic_check(samples: Iterable[int]) -> list[Fraction]:
 def generated_counts(n: int) -> tuple[int, int, int]:
     """Literal counts of the generator's expressions at size n: whole graph,
     single-leaf, dipterous (trapezoidal orientation for n <= 2)."""
+    check_size(n)
     whole = count_literals(n, SubExprKey(basic(1), basic(n)))
     single = count_literals(n + 1, SubExprKey(basic(1), upper(n)))
     return whole, single, derived_dipterous_count(n)

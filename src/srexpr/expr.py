@@ -14,12 +14,15 @@ slot each.  `ProgramBuilder` is the one interner of such tables, after
 Filliatre & Conchon ("Type-safe modular hash-consing", 2006): `lit` makes
 one slot per label, by (letter, index), and `_intern` one per (type,
 children's slots).  The generator and `from_json` build through its `sum`
-and `product`, which first apply the normalization above to slots.
-`compile_program` lowers any Expr to a table, and is the only code that
-walks Expr nodes: it hands each node's children's slots to `_intern` as
-they are, without normalizing, so equal expressions lower to equal tables,
-and `==` and `hash` of nodes compare and hash those tables at the cost of
-the DAG.  Literals are counted per occurrence.
+and `product`, which first apply the normalization above to slots.  A
+product of leaves only is interned when a sum or `finish` takes it, so the
+products that the generator flattens into others are never made, and
+`finish` returns the builder's lists as they stand.  `compile_program`
+lowers any Expr to a table, and is the only code that walks Expr nodes: it
+hands each node's children's slots to `_intern` as they are, without
+normalizing, so equal expressions lower to equal tables, and `==` and
+`hash` of nodes compare and hash those tables at the cost of the DAG.
+Literals are counted per occurrence.
 
 Every other pass over a table is a `_fold`, which hands each slot its
 children's values, so each distinct node is built, rendered or counted
@@ -275,10 +278,14 @@ class ProgramBuilder:
     """The build algebra whose values are Program slots, and the one interner
     of tables: `lit` and `one` are leaf slots, and `sum` / `product`
     normalize like `make_sum` / `make_product` (through the children of
-    slots already built here), then hash-cons through `_intern`, so a sum
-    or product of a type and children already built is that slot.
-    `compile_program` calls `_intern` directly, on children as they are.
-    `finish` makes the Program of one root."""
+    slots already built here), then hash-cons through `_intern`, so a node
+    of a type and children already built is that slot.  A product of leaves
+    only (the generator flattens its size-1 parallelograms into bridge
+    products) stays the tuple of its factors' slots until a sum or `finish`
+    interns it or a product splices it in.  Other products are interned at
+    once, in post-order, which keeps the peak RSS of large text and JSON
+    output down.  `compile_program` calls `_intern` directly, on children
+    as they are.  `finish` returns the builder's lists."""
 
     __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
     one = -1
@@ -299,17 +306,22 @@ class ProgramBuilder:
             self._labels.append(EdgeLabel(letter, index))
         return slot
 
-    def sum(self, addends: Iterable[int]) -> int:
+    def sum(self, addends: Iterable[int | tuple]) -> int:
         return self._node(0, addends)
 
-    def product(self, factors: Iterable[int]) -> int:
+    def product(self, factors: Iterable[int | tuple]) -> int | tuple:
         return self._node(1, factors)
 
-    def _node(self, product: int, operands: Iterable[int]) -> int:
+    def _node(self, product: int, operands: Iterable[int | tuple]) -> int | tuple:
         is_product, children = self.is_product, self.children
         flat: list[int] = []
         for slot in operands:
-            if slot >= 0 and is_product[slot] == product:
+            if slot.__class__ is tuple:  # a product's factors, not yet interned
+                if product:
+                    flat += slot
+                else:
+                    flat.append(self._intern(1, slot))
+            elif slot >= 0 and is_product[slot] == product:
                 flat += children[slot]
             elif slot != -1 or not product:  # the unit drops out of products
                 flat.append(slot)
@@ -317,6 +329,8 @@ class ProgramBuilder:
             if flat or product:
                 return flat[0] if flat else -1  # an empty product is the unit
             raise ValueError("a sum needs at least one addend")
+        if product and max(flat) < 0:  # a product of leaves waits until it is taken
+            return tuple(flat)
         return self._intern(product, tuple(flat))
 
     def _intern(self, product: int, key: tuple[int, ...]) -> int:
@@ -330,32 +344,14 @@ class ProgramBuilder:
             self.is_product.append(product)
         return slot
 
-    def finish(self, root: int) -> Program:
-        """The Program of slot `root`: the slots and labels it reaches, in
-        their building order.  One backward pass marks them (children sit
-        below parents); the rest, such as products flattened into their
-        parents, are dropped and the kept ones renumbered."""
-        children, labels = self.children, self._labels
-        # Marks indexed like Program slots: k for slot k, -(j + 2) for label j.
-        live = bytearray(len(children) + len(labels) + 1)
-        live[root] = 1
-        for k in range(len(children) - 1, -1, -1):
-            if live[k]:
-                for slot in children[k]:
-                    live[slot] = 1
-        kept_labels = [j for j in range(len(labels)) if live[-2 - j]]
-        # The new number of a kept slot is the count of kept slots below it.
-        renumber = list(itertools.accumulate(live[: len(children)], initial=-1))[1:]
-        renumber += [0] * len(labels) + [-1]
-        for new, j in enumerate(kept_labels):
-            renumber[-2 - j] = -2 - new
-        at = renumber.__getitem__
-        return Program(
-            tuple([labels[j] for j in kept_labels]),
-            bytes(itertools.compress(self.is_product, live)),
-            tuple([tuple(map(at, slots)) for slots in itertools.compress(children, live)]),
-            at(root),
-        )
+    def finish(self, root: int | tuple) -> Program:
+        """The Program of `root`, interned first if it is a product's factors:
+        the builder's lists as they stand.  Slots and labels that the root
+        does not reach are kept, such as a product of a sum flattened into
+        another product; the generator and `compile_program` make none."""
+        if root.__class__ is tuple:
+            root = self._intern(1, root)
+        return Program(tuple(self._labels), bytes(self.is_product), tuple(self.children), root)
 
 
 def to_expr(program: Program) -> Expr:
@@ -392,9 +388,7 @@ def compile_program(e: Expr | Program) -> Program:
             slot_of[id(node)] = slot
         return slot
 
-    root = visit(e)
-    # Every slot and label made is reached, so the builder's lists are the table.
-    return Program(tuple(h._labels), bytes(h.is_product), tuple(h.children), root)
+    return h.finish(visit(e))
 
 
 def evaluate(
@@ -484,7 +478,7 @@ def from_json(obj: dict) -> Expr:
     return to_expr(h.finish(_from_json(obj, h, {})))
 
 
-def _from_json(obj, h: ProgramBuilder, memo: dict[int, int]) -> int:
+def _from_json(obj, h: ProgramBuilder, memo: dict[int, int | tuple]) -> int | tuple:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedExpressionError(f"malformed expression node: {obj!r}")
     (kind, value), = obj.items()

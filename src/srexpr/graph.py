@@ -35,6 +35,10 @@ from .errors import (
     RangeError,
 )
 
+# The largest size accepted.  The recursions take one or two stack frames per bit
+# of the size: at closed-form's n = 2**256 they use half the default limit.
+MAX_SIZE = (1 << 257) - 1
+
 _LETTERS = ("a", "b", "c", "d", "e")
 _LABEL_RE = re.compile(r"^([abcde])([1-9][0-9]*)$")
 _TERMINAL_RE = re.compile(r"^([bul])([1-9][0-9]*)$")
@@ -340,14 +344,25 @@ class LabeledDigraph:
         )
 
 
+def check_size(n: int) -> None:
+    """Raise InvalidSizeError unless n is an int (not a bool) and
+    1 <= n <= MAX_SIZE: the one size rule of every module."""
+    if type(n) is not int:
+        raise InvalidSizeError(f"square rhomboid size must be an int, got {n!r}")
+    if n < 1:
+        raise InvalidSizeError(f"square rhomboid size must be >= 1, got {n}")
+    if n > MAX_SIZE:
+        bits = MAX_SIZE.bit_length()
+        raise InvalidSizeError(f"size must be < 2**{bits}, got a {n.bit_length()}-bit size")
+
+
 def build_sr(n: int) -> LabeledDigraph:
     """Build the square rhomboid of size n (n basic vertices, 3n-2 total).
 
     For n >= 2 the graph has 7n-9 edges; n = 1 is the degenerate single
-    vertex.  Raises InvalidSizeError for n < 1.
+    vertex.  Raises InvalidSizeError for a size `check_size` refuses.
     """
-    if n < 1:
-        raise InvalidSizeError(f"square rhomboid size must be >= 1, got {n}")
+    check_size(n)
     vertices = [basic(p) for p in range(1, n + 1)]
     vertices += [upper(p) for p in range(1, n)]
     vertices += [lower(p) for p in range(1, n)]
@@ -404,8 +419,10 @@ def sr_path_count(n: int, stop_above: int | None = None) -> int:
     p has as many): u' = b + u and b' = b + 2u'.  With `stop_above`, the
     first count past it is returned as soon as it appears; the count grows
     with n, so the result exceeds `stop_above` exactly when the true count
-    does, and a huge n costs no more than the steps to get there.
+    does, and a huge n costs no more than the steps to get there.  Raises
+    InvalidSizeError for a size `check_size` refuses.
     """
+    check_size(n)
     b, u = 1, 0
     for _ in range(n - 1):
         if stop_above is not None and b > stop_above:

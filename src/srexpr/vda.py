@@ -45,23 +45,20 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .errors import BaseCaseExpectedError, DomainError, InvalidSizeError, RangeError
+from .errors import BaseCaseExpectedError, DomainError, RangeError
 from .expr import Expr, Program, ProgramBuilder, to_expr
-from .graph import (
+from .graph import (  # MAX_SIZE and check_size are re-exported: the CLI reads them here
+    MAX_SIZE,
     Family,
     SubgraphKind,
     Terminal,
     TerminalKind,
     basic,
+    check_size,
     classify,
     lower,
     upper,
 )
-
-
-# The largest size accepted.  The recursions take one or two stack frames per bit
-# of the size: at closed-form's n = 2**256 they use half the default limit.
-MAX_SIZE = (1 << 257) - 1
 
 
 class SubExprKey(NamedTuple):
@@ -233,18 +230,6 @@ def choose_split(kind: SubgraphKind, p: int, q: int, rounding: str = "ceil") -> 
         i = total // 2
     assert p < i < q, f"split {i} escaped the open interval ({p}, {q})"
     return i
-
-
-def check_size(n: int) -> None:
-    """Raise InvalidSizeError unless n is an int (not a bool) and
-    1 <= n <= MAX_SIZE."""
-    if type(n) is not int:
-        raise InvalidSizeError(f"square rhomboid size must be an int, got {n!r}")
-    if n < 1:
-        raise InvalidSizeError(f"square rhomboid size must be >= 1, got {n}")
-    if n > MAX_SIZE:
-        bits = MAX_SIZE.bit_length()
-        raise InvalidSizeError(f"size must be < 2**{bits}, got a {n.bit_length()}-bit size")
 
 
 def _check_rounding(rounding: str) -> None:

@@ -294,6 +294,11 @@ class TestSizeBound:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().endswith("match")
 
+    def test_exact_verify_past_the_bound_states_the_size_rule(self, capsys):
+        code, out, err = run(capsys, "verify", str(MAX_SIZE + 1))
+        assert (code, out) == (2, "")
+        assert err == run(capsys, "gen", str(MAX_SIZE + 1))[2]
+
     def test_largest_size_counts(self, capsys):
         code, out, _ = run(capsys, "gen", str(MAX_SIZE), "--count-only")
         assert code == 0 and int(out) > 0
@@ -394,6 +399,16 @@ class TestDot:
         code, out, err = run(capsys, "dot", str(MAX_SIZE + 1))
         assert (code, out) == (2, "")
         assert err == run(capsys, "gen", str(MAX_SIZE + 1))[2]
+
+    def test_sub_accepts_the_pairs_gen_accepts(self, capsys):
+        # Every pair of SR(6) terminals, out-of-range indices included.
+        terminals = [f"{row}{index}" for row in "bul" for index in range(1, 8)]
+        for src in terminals:
+            for dst in terminals:
+                sub = f"{src},{dst}"
+                dot_code, _, dot_err = run(capsys, "dot", "6", "--sub", sub)
+                gen_code, _, gen_err = run(capsys, "gen", "6", "--sub", sub, "--count-only")
+                assert (dot_code, dot_err) == (gen_code, gen_err), sub
 
 
 class TestCrash:

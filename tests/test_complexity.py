@@ -33,6 +33,7 @@ from srexpr.complexity import (
     REFERENCE_DIPTEROUS_PARALLELOGRAM_BASES,
     REFERENCE_DIPTEROUS_TRAPEZOID_BASES,
 )
+from srexpr.graph import build_sr, sr_path_count
 
 
 class TestRecurrence:
@@ -105,6 +106,26 @@ class TestRecurrence:
             dipterous_count(2)
         with pytest.raises(InvalidSizeError):
             sr_count(0)
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            sr_count,
+            single_leaf_count,
+            dipterous_count,
+            closed_form,
+            generated_counts,
+            derived_dipterous_count,
+            build_sr,
+            sr_path_count,
+        ],
+    )
+    @pytest.mark.parametrize("n", [4.0, True], ids=["float", "bool"])
+    def test_size_that_is_not_an_int_is_refused(self, count, n):
+        # sr_count(1) is cached first, so a bool must not be answered from it.
+        sr_count(1)
+        with pytest.raises(InvalidSizeError, match="must be an int"):
+            count(n)
 
 
 class TestClosedForm:

@@ -499,23 +499,24 @@ class TestProgram:
         built = program(16, SubExprKey(basic(1), basic(16)))
         assert compile_program(built) is built
 
-    def test_finish_drops_flattened_products(self):
+    def test_product_flattened_into_a_product_is_never_made(self):
         # A size-1 parallelogram is a product, flattened into every parent.
         h = ProgramBuilder()
         inner = h.product([h.lit("e", 2), h.lit("d", 3)])
         root = h.product([h.lit("b", 1), inner])
+        assert h.children == []
         finished = h.finish(root)
-        assert len(h.children) == 2
         assert finished.children == ((-4, -2, -3),)
         assert [str(label) for label in finished.labels] == ["e2", "d3", "b1"]
 
-    def test_finish_drops_unused_labels(self):
+    def test_finish_is_the_builders_lists(self):
         h = ProgramBuilder()
         h.lit("c", 1)
         root = h.sum([h.lit("b", 1), h.product([h.one, h.lit("b", 2)])])
         finished = h.finish(root)
-        assert [str(label) for label in finished.labels] == ["b1", "b2"]
-        assert (finished.children, finished.root) == (((-2, -3),), 0)
+        assert [str(label) for label in finished.labels] == ["c1", "b1", "b2"]
+        assert (finished.children, finished.root) == (((-3, -4),), 0)
+        assert (finished.labels, finished.children) == (tuple(h._labels), tuple(h.children))
 
     def test_builder_normalizes_like_make_sum_and_make_product(self):
         h = ProgramBuilder()
