@@ -21,7 +21,7 @@ import sys
 from . import complexity
 from . import vda
 from .errors import CapacityError, SrexprError
-from .expr import DEFAULT_PRIME, _json_pieces, to_text
+from .expr import DEFAULT_PRIME, _write_json, to_text
 from .graph import Terminal, basic, build_sr, induced_subgraph, sr_path_count, to_dot
 from .oracle import check_exact, check_fingerprint, check_fingerprint_parameters
 
@@ -78,8 +78,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             head = _json_text(payload)
             sys.stdout.write(head[: -len("\n}")])
             sys.stdout.write(',\n  "ast": ')
-            for piece in _json_pieces(program):
-                sys.stdout.write(piece.replace("\n", "\n  "))
+            _write_json(program, sys.stdout.write, "  ")
             sys.stdout.write("\n}\n")
     elif args.count_only:
         print(count)

@@ -27,16 +27,20 @@ Literals are counted per occurrence.
 Every other pass over a table is a `_fold`, which hands each slot its
 children's values, so each distinct node is built, rendered or counted
 once: `to_expr` (one node per slot, one Lit per label), `to_text`,
-`to_json`, `to_json_text`, the counts and the exact oracle's monomial
-codes.  Two are not.  `Program.run`, the fingerprint oracle's inner loop,
-stays a flat loop over modular ints for speed, and `iter_expansion`
-streams monomials, which a fold of whole values cannot.  Every pass takes
-an Expr or a Program alike.  A hand-built empty Sum or Prod, which
+`to_json`, the counts and the exact oracle's monomial codes.  Three are
+not.  `Program.run`, the fingerprint oracle's inner loop, stays a flat
+loop over modular ints for speed; `iter_expansion` streams monomials, which
+a fold of whole values cannot; and `_write_json` (`to_json_text` and
+`gen --output json`) writes the JSON text while walking the tree written
+out, so that no subtree's text is held: rendered by a fold, the large
+texts' copies made the peak RSS of a run depend on how the heap happened
+to be laid out.  Every pass takes an Expr or a Program alike.  A hand-built empty Sum or Prod, which
 `make_sum` / `make_product` never make, folds as zero or as the unit.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 from math import prod
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -433,32 +437,35 @@ def to_text(e: Expr | Program, product_separator: str = "*") -> str:
     return _fold(program, lambda label: "1" if label is None else str(label), node)
 
 
-def _json_pieces(program: Program) -> list[str]:
-    """`json.dumps(to_json(program), indent=2)` as the root's frame and items,
-    unjoined; each item is indented once, however many lists share it."""
-    is_product, root = program.is_product, program.root
+def _write_json(program: Program, write, pad: str = "") -> None:
+    """Write `json.dumps(to_json(program), indent=2)` through `write`, every
+    line after the first indented by `pad` more.  A walk of the tree written
+    out, one call per leaf or closing bracket: no subtree is held as one
+    string, so memory is the depth of the tree, not its text."""
+    labels, is_product, children = program.labels, program.is_product, program.children
 
-    def leaf(label):
-        body = '"one": true' if label is None else f'"lit": "{label}"'
-        text = f"{{\n  {body}\n}}"
-        return text.replace("\n", "\n    ") if root >= 0 else text
+    def walk(slot: int, pad: str, lead: str) -> None:
+        # `lead` is the text, not yet written, that goes just before this node.
+        if slot < 0:
+            body = '"one": true' if slot == -1 else f'"lit": "{labels[-2 - slot]}"'
+            write(f"{lead}{{\n{pad}  {body}\n{pad}}}")
+            return
+        lead += f'{{\n{pad}  "prod": [' if is_product[slot] else f'{{\n{pad}  "sum": ['
+        inner = pad + "    "
+        separator = "\n" + inner
+        for child in children[slot]:
+            walk(child, inner, lead + separator)
+            lead, separator = "", ",\n" + inner
+        write(f"{lead}]\n{pad}}}" if lead else f"\n{pad}  ]\n{pad}}}")  # lead: no items
 
-    def node(k, items):
-        pieces = ['{\n  "prod": [' if is_product[k] else '{\n  "sum": [']
-        for item in items:
-            pieces += ("\n    ", item, ",")
-        if items:
-            pieces[-1] = "\n  "  # no comma after the last item
-        pieces.append("]\n}")
-        return pieces if k == root else "".join(pieces).replace("\n", "\n    ")
-
-    value = _fold(program, leaf, node)
-    return value if root >= 0 else [value]
+    walk(program.root, pad, "")
 
 
 def to_json_text(e: Expr | Program) -> str:
     """`json.dumps(to_json(e), indent=2)`."""
-    return "".join(_json_pieces(compile_program(e)))
+    text = io.StringIO()
+    _write_json(compile_program(e), text.write)
+    return text.getvalue()
 
 
 def to_json(e: Expr | Program) -> dict:

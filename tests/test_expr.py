@@ -34,8 +34,8 @@ from srexpr import (
     to_json,
     to_text,
 )
-from srexpr.expr import Program, compile_program, iter_expansion, to_json_text
-from srexpr.graph import Terminal, lower, path_count, upper
+from srexpr.expr import Program, _write_json, compile_program, iter_expansion, to_json_text
+from srexpr.graph import Terminal, basic, lower, path_count, upper
 from srexpr.vda import SubExprKey, expression, program
 from test_vda import terminal_pairs
 
@@ -334,6 +334,14 @@ class TestEmitters:
     @pytest.mark.parametrize("name, e", EMITTER_CASES, ids=[name for name, _ in EMITTER_CASES])
     def test_json_text_matches_json_dumps(self, name, e):
         assert to_json_text(e) == json.dumps(to_json(e), indent=2)
+
+    def test_json_is_written_a_node_at_a_time(self):
+        # SR(64) renders 17.5 MB of JSON; no write holds a subtree's text.
+        built = program(64, SubExprKey(basic(1), basic(64)))
+        pieces = []
+        _write_json(built, pieces.append)
+        assert "".join(pieces) == to_json_text(built)
+        assert max(map(len, pieces)) < 4096
 
     def test_json_text_of_a_leaf_root_beside_unreached_slots(self):
         # A hand-built table may hold slots that its root does not reach.
