@@ -439,16 +439,19 @@ def to_text(e: Expr | Program, product_separator: str = "*") -> str:
 
 def _write_json(program: Program, write, pad: str = "") -> None:
     """Write `json.dumps(to_json(program), indent=2)` through `write`, every
-    line after the first indented by `pad` more.  A walk of the tree written
-    out, one call per leaf or closing bracket: no subtree is held as one
-    string, so memory is the depth of the tree, not its text."""
+    line after the first indented by `pad` more, in chunks of about
+    `io.DEFAULT_BUFFER_SIZE` characters.  A walk of the tree written out: no
+    subtree is held as one string, so memory is the depth of the tree and a
+    chunk, not the text."""
     labels, is_product, children = program.labels, program.is_product, program.children
+    chunk = io.StringIO()
+    put = chunk.write
 
     def walk(slot: int, pad: str, lead: str) -> None:
         # `lead` is the text, not yet written, that goes just before this node.
         if slot < 0:
             body = '"one": true' if slot == -1 else f'"lit": "{labels[-2 - slot]}"'
-            write(f"{lead}{{\n{pad}  {body}\n{pad}}}")
+            put(f"{lead}{{\n{pad}  {body}\n{pad}}}")
             return
         lead += f'{{\n{pad}  "prod": [' if is_product[slot] else f'{{\n{pad}  "sum": ['
         inner = pad + "    "
@@ -456,16 +459,22 @@ def _write_json(program: Program, write, pad: str = "") -> None:
         for child in children[slot]:
             walk(child, inner, lead + separator)
             lead, separator = "", ",\n" + inner
-        write(f"{lead}]\n{pad}}}" if lead else f"\n{pad}  ]\n{pad}}}")  # lead: no items
+        # A lead still unwritten means the node had no items: "[]".
+        put(f"{lead}]\n{pad}}}" if lead else f"\n{pad}  ]\n{pad}}}")
+        if chunk.tell() >= io.DEFAULT_BUFFER_SIZE:
+            write(chunk.getvalue())
+            chunk.seek(0)
+            chunk.truncate()
 
     walk(program.root, pad, "")
+    write(chunk.getvalue())
 
 
 def to_json_text(e: Expr | Program) -> str:
     """`json.dumps(to_json(e), indent=2)`."""
-    text = io.StringIO()
-    _write_json(compile_program(e), text.write)
-    return text.getvalue()
+    chunks: list[str] = []
+    _write_json(compile_program(e), chunks.append)
+    return "".join(chunks)
 
 
 def to_json(e: Expr | Program) -> dict:

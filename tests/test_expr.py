@@ -1,5 +1,6 @@
 """Expression AST: counting, expansion, evaluation, printing, serialization."""
 
+import io
 import json
 import random
 import time
@@ -335,13 +336,13 @@ class TestEmitters:
     def test_json_text_matches_json_dumps(self, name, e):
         assert to_json_text(e) == json.dumps(to_json(e), indent=2)
 
-    def test_json_is_written_a_node_at_a_time(self):
-        # SR(64) renders 17.5 MB of JSON; no write holds a subtree's text.
+    def test_json_is_written_in_buffer_sized_chunks(self):
+        # SR(64) renders 17.5 MB of JSON; no write holds a large subtree's text.
         built = program(64, SubExprKey(basic(1), basic(64)))
-        pieces = []
-        _write_json(built, pieces.append)
-        assert "".join(pieces) == to_json_text(built)
-        assert max(map(len, pieces)) < 4096
+        chunks = []
+        _write_json(built, chunks.append)
+        assert "".join(chunks) == to_json_text(built)
+        assert max(map(len, chunks)) < 2 * io.DEFAULT_BUFFER_SIZE
 
     def test_json_text_of_a_leaf_root_beside_unreached_slots(self):
         # A hand-built table may hold slots that its root does not reach.
