@@ -34,8 +34,9 @@ a fold of whole values cannot; and `_write_json` (`to_json_text` and
 `gen --output json`) writes the JSON text while walking the tree written
 out, so that no subtree's text is held: rendered by a fold, the large
 texts' copies made the peak RSS of a run depend on how the heap happened
-to be laid out.  Every pass takes an Expr or a Program alike.  A hand-built empty Sum or Prod, which
-`make_sum` / `make_product` never make, folds as zero or as the unit.
+to be laid out.  Every pass takes an Expr or a Program alike.  A
+hand-built empty Sum or Prod, which `make_sum` / `make_product` never
+make, folds as zero or as the unit.
 """
 
 from __future__ import annotations
@@ -287,9 +288,10 @@ class ProgramBuilder:
     only (the generator flattens its size-1 parallelograms into bridge
     products) stays the tuple of its factors' slots until a sum or `finish`
     interns it or a product splices it in.  Other products are interned at
-    once, in post-order, which keeps the peak RSS of large text and JSON
-    output down.  `compile_program` calls `_intern` directly, on children
-    as they are.  `finish` returns the builder's lists."""
+    once, in post-order: deferred too, they sat after their siblings'
+    subtrees, and the text fold's peak RSS rose.  `compile_program` calls
+    `_intern` directly, on children as they are.  `finish` returns the
+    builder's lists."""
 
     __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
     one = -1
