@@ -138,6 +138,7 @@ def dipterous_count(n: int) -> int:
 
 def recurrence_table(n_max: int) -> list[ComplexityRow]:
     """Rows of all three count families for sizes 1..n_max."""
+    check_size(n_max)
     if n_max < 2:
         raise InvalidSizeError(f"n_max must be >= 2, got {n_max}")
     rows = []

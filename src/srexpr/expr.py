@@ -13,16 +13,16 @@ A `Program` is an expression as a table of its distinct nodes, one integer
 slot each.  `ProgramBuilder` is the one interner of such tables, after
 Filliatre & Conchon ("Type-safe modular hash-consing", 2006): `lit` makes
 one slot per label, by (letter, index), and `_intern` one per (type,
-children's slots).  The generator and `from_json` build through its `sum`
-and `product`, which first apply the normalization above to slots.  A
-product of leaves only is interned when a sum or `finish` takes it, so the
-products that the generator flattens into others are never made, and
-`finish` returns the builder's lists as they stand.  `compile_program`
-lowers any Expr to a table, and is the only code that walks Expr nodes: it
-hands each node's children's slots to `_intern` as they are, without
-normalizing, so equal expressions lower to equal tables, and `==` and
-`hash` of nodes compare and hash those tables at the cost of the DAG.
-Literals are counted per occurrence.
+children's slots), taken as they are: `make_sum` / `make_product` are the
+one normalizer.  The generator builds through its `sum` and `product`,
+which intern what they are given, except that a product of leaves only
+waits until a sum or `finish` interns it or a product splices it in, so the
+products that the generator flattens into others are never made.
+`compile_program` lowers any Expr to a table, and is the only code that
+walks Expr nodes; it and `from_json` hand each node's children's slots to
+`_intern`, so equal expressions lower to equal tables, `from_json` inverts
+`to_json`, and `==` and `hash` of nodes compare and hash those tables at the
+cost of the DAG.  Literals are counted per occurrence.
 
 Every other pass over a table is a `_fold`, which hands each slot its
 children's values, so each distinct node is built, rendered or counted
@@ -282,16 +282,14 @@ class Program:
 class ProgramBuilder:
     """The build algebra whose values are Program slots, and the one interner
     of tables: `lit` and `one` are leaf slots, and `sum` / `product`
-    normalize like `make_sum` / `make_product` (through the children of
-    slots already built here), then hash-cons through `_intern`, so a node
-    of a type and children already built is that slot.  A product of leaves
-    only (the generator flattens its size-1 parallelograms into bridge
-    products) stays the tuple of its factors' slots until a sum or `finish`
-    interns it or a product splices it in.  Other products are interned at
-    once, in post-order: deferred too, they sat after their siblings'
-    subtrees, and the text fold's peak RSS rose.  `compile_program` calls
-    `_intern` directly, on children as they are.  `finish` returns the
-    builder's lists."""
+    hash-cons their operands as given through `_intern`, so a node of a type
+    and children already built is that slot.  A product of leaves only (the
+    generator flattens its size-1 parallelograms into bridge products) stays
+    the tuple of its factors' slots until a sum or `finish` interns it or a
+    product splices it in.  Other products are interned at once, in
+    post-order: deferred too, they sat after their siblings' subtrees, and
+    the text fold's peak RSS rose.  `compile_program` and `from_json` call
+    `_intern` directly.  `finish` returns the builder's lists."""
 
     __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
     one = -1
@@ -313,31 +311,23 @@ class ProgramBuilder:
         return slot
 
     def sum(self, addends: Iterable[int | tuple]) -> int:
-        return self._node(0, addends)
+        # No comprehension and no keyword arguments to `max` here or below:
+        # either cost 0.2-0.5 us a call, a few percent of a table build.
+        flat: list[int] = []
+        for slot in addends:
+            flat.append(self._intern(1, slot) if slot.__class__ is tuple else slot)
+        return self._intern(0, tuple(flat))
 
     def product(self, factors: Iterable[int | tuple]) -> int | tuple:
-        return self._node(1, factors)
-
-    def _node(self, product: int, operands: Iterable[int | tuple]) -> int | tuple:
-        is_product, children = self.is_product, self.children
         flat: list[int] = []
-        for slot in operands:
-            if slot.__class__ is tuple:  # a product's factors, not yet interned
-                if product:
-                    flat += slot
-                else:
-                    flat.append(self._intern(1, slot))
-            elif slot >= 0 and is_product[slot] == product:
-                flat += children[slot]
-            elif slot != -1 or not product:  # the unit drops out of products
+        for slot in factors:
+            if slot.__class__ is tuple:  # a product of leaves, spliced in
+                flat += slot
+            else:
                 flat.append(slot)
-        if len(flat) < 2:
-            if flat or product:
-                return flat[0] if flat else -1  # an empty product is the unit
-            raise ValueError("a sum needs at least one addend")
-        if product and max(flat) < 0:  # a product of leaves waits until it is taken
+        if not flat or max(flat) < 0:  # a product of leaves waits until it is taken
             return tuple(flat)
-        return self._intern(product, tuple(flat))
+        return self._intern(1, tuple(flat))
 
     def _intern(self, product: int, key: tuple[int, ...]) -> int:
         """The slot of the sum (product 0) or product (1) over the slots
@@ -353,8 +343,8 @@ class ProgramBuilder:
     def finish(self, root: int | tuple) -> Program:
         """The Program of `root`, interned first if it is a product's factors:
         the builder's lists as they stand.  Slots and labels that the root
-        does not reach are kept, such as a product of a sum flattened into
-        another product; the generator and `compile_program` make none."""
+        does not reach are kept; of the builder's callers only
+        `vda.reference_trap_base_variant` leaves any."""
         if root.__class__ is tuple:
             root = self._intern(1, root)
         return Program(tuple(self._labels), bytes(self.is_product), tuple(self.children), root)
@@ -490,13 +480,15 @@ def to_json(e: Expr | Program) -> dict:
 
 
 def from_json(obj: dict) -> Expr:
-    """Inverse of `to_json`, renormalized and hash-consed (a repeated subterm is
-    one node); a payload not of that shape raises MalformedExpressionError."""
+    """Inverse of `to_json`: hash-consed as `compile_program` is (a repeated
+    subterm is one node) and not normalized, so `from_json(to_json(e)) == e`.
+    A payload not of that shape, an empty sum included, raises
+    MalformedExpressionError."""
     h = ProgramBuilder()
     return to_expr(h.finish(_from_json(obj, h, {})))
 
 
-def _from_json(obj, h: ProgramBuilder, memo: dict[int, int | tuple]) -> int | tuple:
+def _from_json(obj, h: ProgramBuilder, memo: dict[int, int]) -> int:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise MalformedExpressionError(f"malformed expression node: {obj!r}")
     (kind, value), = obj.items()
@@ -521,5 +513,5 @@ def _from_json(obj, h: ProgramBuilder, memo: dict[int, int | tuple]) -> int | tu
             if slot is None:
                 slot = memo[id(child)] = _from_json(child, h, memo)
             children.append(slot)
-        return h.sum(children) if kind == "sum" else h.product(children)
+        return h._intern(int(kind == "prod"), tuple(children))
     raise MalformedExpressionError(f"unknown expression node: {obj!r}")

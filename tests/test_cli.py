@@ -1,6 +1,9 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import ast
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -374,6 +377,34 @@ class TestImports:
 
     def test_json_output_loads_json(self):
         assert "json" in self.loaded("gen", "5", "--output", "json")
+
+
+class TestBenchmarkNames:
+    """Every srexpr name that `perfbench/` traces or imports still exists, so
+    that no traced job crashes on a name that was renamed or removed."""
+
+    PERFBENCH = GOLDEN.parent
+
+    def test_every_traced_target_resolves(self):
+        spec = importlib.util.spec_from_file_location("spans", self.PERFBENCH / "spans.py")
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for module_name, attr, *_ in spans.TARGETS:
+            assert callable(getattr(importlib.import_module(module_name), attr)), attr
+
+    def test_every_imported_name_resolves(self):
+        names = set()  # (module, name), with name None for `import srexpr.x`
+        for path in sorted(self.PERFBENCH.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("srexpr"):
+                    names.update((node.module, alias.name) for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    names.update((a.name, None) for a in node.names if a.name.startswith("srexpr"))
+        assert ("srexpr.vda", "expression") in names
+        for module_name, attr in sorted(names, key=str):
+            module = importlib.import_module(module_name)
+            if attr is not None and not hasattr(module, attr):
+                importlib.import_module(f"{module_name}.{attr}")  # a submodule
 
 
 class TestDot:

@@ -118,6 +118,7 @@ class TestRecurrence:
             derived_dipterous_count,
             build_sr,
             sr_path_count,
+            recurrence_table,
         ],
     )
     @pytest.mark.parametrize("n", [4.0, True], ids=["float", "bool"])

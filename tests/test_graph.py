@@ -138,6 +138,21 @@ class TestLabeledDigraph:
                 ],
             )
 
+    def test_source_that_is_not_a_vertex_refused(self):
+        with pytest.raises(ValueError, match="source and sink must be vertices"):
+            LabeledDigraph([basic(1), basic(2)], [self.B1_B2], upper(1), basic(2))
+
+    def test_repeated_label_refused(self):
+        with pytest.raises(ValueError, match="edge labels must be distinct"):
+            self.graph(
+                [basic(1), basic(2), upper(1)],
+                [self.B1_B2, (basic(1), upper(1), EdgeLabel("b", 1))],
+            )
+
+    def test_endpoint_outside_the_vertex_set_refused(self):
+        with pytest.raises(ValueError, match="edge e1 has an endpoint outside the vertex set"):
+            self.graph([basic(1), basic(2)], [self.B1_B2, (basic(1), upper(1), EdgeLabel("e", 1))])
+
 
 class TestInducedSubgraph:
     def test_single_leaf_of_size_three(self):
@@ -341,6 +356,10 @@ class TestParsing:
     def test_edge_label_round_trip(self):
         for text in ("a1", "e12"):
             assert str(EdgeLabel.parse(text)) == text
+
+    def test_edge_label_rejects_a_letter_outside_the_graph(self):
+        with pytest.raises(ValueError, match="edge letter must be one of"):
+            EdgeLabel("x", 1)
 
     def test_edge_label_ordering(self):
         assert EdgeLabel("a", 9) < EdgeLabel("b", 1) < EdgeLabel("b", 2) < EdgeLabel("e", 1)

@@ -10,6 +10,7 @@ from srexpr import (  # noqa: E402
     CapacityError,
     EdgeLabel,
     Lit,
+    MalformedExpressionError,
     ONE,
     One,
     Prod,
@@ -148,8 +149,25 @@ def test_equality_is_field_wise_and_hash_agrees(first, second):
 @hypothesis.given(hand_built_cases())
 def test_table_converters_invert_each_other(case):
     # hand-built tables may hold empty, single-child and same-type nested
-    # slots, which the generator and `from_json` never make
+    # slots, which the generator never makes and `from_json` makes as written
     e = case[0]
     p = compile_program(e)
     assert same_fields(to_expr(p), e)
     assert compile_program(to_expr(p)) == p
+
+
+def has_empty_sum(e):
+    return any(isinstance(node, Sum) and not node.children for node in nodes_of(e))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(hand_built_cases())
+def test_from_json_inverts_to_json(case):
+    # `from_json` interns as `compile_program` does, without normalizing;
+    # only an empty sum, which no payload may hold, is refused.
+    e = case[0]
+    if has_empty_sum(e):
+        with pytest.raises(MalformedExpressionError):
+            from_json(to_json(e))
+    else:
+        assert from_json(to_json(e)) == e

@@ -512,19 +512,29 @@ class TestProgram:
     def test_finish_is_the_builders_lists(self):
         h = ProgramBuilder()
         h.lit("c", 1)
-        root = h.sum([h.lit("b", 1), h.product([h.one, h.lit("b", 2)])])
+        root = h.sum([h.lit("b", 1), h.product([h.lit("b", 2), h.lit("b", 3)])])
         finished = h.finish(root)
-        assert [str(label) for label in finished.labels] == ["c1", "b1", "b2"]
-        assert (finished.children, finished.root) == (((-3, -4),), 0)
+        assert [str(label) for label in finished.labels] == ["c1", "b1", "b2", "b3"]
+        assert (finished.children, finished.root) == (((-4, -5), (-3, 0)), 1)
         assert (finished.labels, finished.children) == (tuple(h._labels), tuple(h.children))
 
-    def test_builder_normalizes_like_make_sum_and_make_product(self):
-        h = ProgramBuilder()
-        b1 = h.lit("b", 1)
-        assert h.product([]) == h.product([h.one]) == h.one
-        assert h.product([h.one, b1]) == h.sum([b1]) == b1
-        with pytest.raises(ValueError):
-            h.sum([])
+    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
+    def test_tables_are_in_normal_form(self, rounding):
+        # The builder interns what it is given, so the generator alone keeps
+        # the normal form of `make_sum` / `make_product`: every node has two
+        # or more children, no product holds the unit or a product, and no
+        # sum holds a sum.
+        cases = [(n, SubExprKey(basic(1), basic(n))) for n in [*range(1, 65), 200, 982, 1024]]
+        cases += [(12, SubExprKey(src, dst)) for src, dst in terminal_pairs(build_sr(12))]
+        for n, key in cases:
+            built = program(n, key, rounding)
+            is_product = built.is_product
+            for k, slots in enumerate(built.children):
+                assert len(slots) >= 2, (n, key, k)
+                if is_product[k]:
+                    assert all(s < -1 or (s >= 0 and not is_product[s]) for s in slots), (n, key, k)
+                else:
+                    assert all(s < 0 or is_product[s] for s in slots), (n, key, k)
 
     @pytest.mark.parametrize(
         "argv",
