@@ -21,16 +21,17 @@ products that the generator flattens into others are never made.
 `compile_program` lowers any Expr to a table, and is the only code that
 walks Expr nodes; it and `from_json` hand each node's children's slots to
 `_intern`, so equal expressions lower to equal tables, `from_json` inverts
-`to_json`, and `==` and `hash` of nodes compare and hash those tables at the
-cost of the DAG.  Literals are counted per occurrence.
+`to_json`, and `==` of nodes compares those tables at the cost of the DAG.
+A node's `hash` is kept on it, made once from its children's.  Literals are
+counted per occurrence.
 
 Every other pass over a table is a `_fold`, which hands each slot its
 children's values, so each distinct node is built, rendered or counted
 once: `to_expr` (one node per slot, one Lit per label), `to_text`,
-`to_json`, the counts and the exact oracle's monomial codes.  Three are
-not.  `Program.run`, the fingerprint oracle's inner loop, stays a flat
-loop over modular ints for speed; `iter_expansion` streams monomials, which
-a fold of whole values cannot; and `_write_json` (`to_json_text` and
+`to_json`, the counts and the exact oracle's diagram and monomial codes.
+Three are not.  `Program.run`, the fingerprint oracle's inner loop, stays a
+flat loop over modular ints for speed; `iter_expansion` streams monomials,
+which a fold of whole values cannot; and `_write_json` (`to_json_text` and
 `gen --output json`) writes the JSON text while walking the tree written
 out, so that no subtree's text is held: rendered by a fold, the large
 texts' copies made the peak RSS of a run depend on how the heap happened
@@ -56,14 +57,17 @@ DEFAULT_PRIME = (1 << 61) - 1
 class Expr:
     """Base class for expression nodes.
 
-    A node's fields are its `__slots__`.  Nodes are equal when they have the
-    same type and equal fields, so `Sum((a, b)) != Prod((a, b))`, and
-    assigning a field raises AttributeError.  Equal nodes lower to equal
-    hash-consed tables, so `==` and `hash` compare and hash those tables:
-    their cost is that of the DAG, not of the tree written out.
+    A node's fields are its subclass's `__slots__`.  Nodes are equal when
+    they have the same type and equal fields, so `Sum((a, b)) != Prod((a,
+    b))`, and assigning a field raises AttributeError.  Equal nodes lower to
+    equal hash-consed tables, so `==` compares those tables: its cost is
+    that of the DAG, not of the tree written out.  `hash` is made once per
+    node, from its type and its fields (a Lit's label, the children's own
+    hashes), and kept in the base class's slot `_hash`: equal trees hash
+    alike, and a node shared by many parents is hashed once.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -71,7 +75,13 @@ class Expr:
         return self is other or compile_program(self) == compile_program(other)
 
     def __hash__(self) -> int:
-        return hash(compile_program(self))
+        try:
+            return self._hash
+        except AttributeError:
+            fields = tuple([getattr(self, name) for name in self.__slots__])
+            value = hash((self.__class__, fields))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

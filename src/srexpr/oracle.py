@@ -2,12 +2,16 @@
 
 Two independent oracles:
 
-  * `check_exact` expands the expression and compares the monomial multiset
-    against the graph's path enumeration.  Unarguable, but exponential in n.
-    A monomial is one int: label i of the sorted labels adds 1 to the i-th
-    bit field, and the fields are wide enough for the largest degree, so no
-    field carries into the next and equal ints mean equal label multisets,
-    repeated labels included.
+  * `check_exact` compares the expansion's monomial multiset with the
+    graph's path set without enumerating either: both sides become one
+    zero-suppressed decision diagram (`zdd`), where equal families are one
+    node, and counts of monomials and of their degrees rule out duplicates
+    and repeated labels.  Only a failure enumerates both sides, to name its
+    witness.  There a monomial is one int: label i of the sorted labels adds
+    1 to the i-th bit field, and the fields are wide enough for the largest
+    degree, so no field carries into the next and equal ints mean equal
+    label multisets, repeated labels included.  Both sides stay bounded by
+    `limit`, which the path and monomial counts check before any work.
   * `check_fingerprint` compares random evaluations of the expression against
     a dynamic program over the graph that computes the same polynomial
     without ever expanding it.  Scales to any n; per-trial false-pass
@@ -35,7 +39,6 @@ from .expr import (
     Program,
     _fold,
     compile_program,
-    expansion_size,
 )
 from .graph import LabeledDigraph, path_count, path_length_range
 
@@ -228,28 +231,65 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
     """Pass iff the expansion of `e` equals the path-monomial multiset of `g`
     and contains no duplicate monomials.
 
-    Both sides are enumerated in full: the expansion by one pass over the
-    compiled expression, the paths by a forward pass over the graph that
-    never looks at `e`.  A monomial is one int: over the sorted union of both
-    sides' labels, label i adds 1 to the i-th field of `width` bits, where
-    `width` is the bit length of the largest degree in the expansion (at
-    least 1, for the graph's squarefree paths).  No field can carry into the
-    next, so equal codes mean equal multisets of labels, repeated labels
-    included; a bitmask would merge b1 with b1*b1.  The witness is the least
-    monomial, in Monomial order, among the duplicates or else the one-sided
-    surplus, and only it is decoded back into a Monomial.
+    Decided without enumerating either side, by `zdd.diagrams`: one
+    zero-suppressed decision diagram holds the expression's expansion and
+    the graph's paths as families of label sets.  A label's variable is its
+    edge's (topological position of the tail, of the head); labels outside
+    the graph follow, in label order.  Equal families are one node, so the
+    check passes when
+      * the two roots are the same node, and
+      * the expansion's (monomials, total degree), counted with
+        multiplicity by one fold over the table, equals the diagram's
+        (cardinality, total set size).
+    That rule is sound.  A diagram union merges duplicates and a join
+    collapses x * x to x, so the expression's family is the set of the
+    label sets of its monomials: a duplicate monomial, or two with one
+    label set, lower the cardinality below the monomial count, and a
+    repeated label lowers the total size below the total degree.  When both
+    pairs are equal, the expansion is a set of squarefree monomials, and
+    that set is its family, the path family.
 
-    Raises CapacityError when either side would exceed `limit` monomials.
+    Only a failure enumerates both sides in full, to name its witness: the
+    expansion by one pass over the compiled expression, the paths by a
+    forward pass over the graph that never looks at `e`.  A monomial is one
+    int: over the sorted union of both sides' labels, label i adds 1 to the
+    i-th field of `width` bits, where `width` is the bit length of the
+    largest degree in the expansion (at least 1, for the graph's squarefree
+    paths).  No field can carry into the next, so equal codes mean equal
+    multisets of labels, repeated labels included; a bitmask would merge b1
+    with b1*b1.  The witness is the least monomial, in Monomial order, among
+    the duplicates or else the one-sided surplus, and only it is decoded
+    back into a Monomial.
+
+    Raises CapacityError when either side would exceed `limit` monomials,
+    a pass as well as a failure.
     """
+    from .zdd import diagrams  # only an exact check needs it; every run would compile it
+
     n_paths = path_count(g)
     if n_paths > limit:
         raise CapacityError.exceeded(n_paths, "paths", limit, "use the fingerprint check")
     program = compile_program(e)
-    n_monomials = expansion_size(program)
+    is_product = program.is_product
+
+    def shape(k, pairs):  # (monomials, total degree) with multiplicity
+        if not is_product[k]:
+            return sum([m for m, _ in pairs]), sum([d for _, d in pairs])
+        m, d = 1, 0
+        for m2, d2 in pairs:
+            m, d = m * m2, d * m2 + d2 * m
+        return m, d
+
+    n_monomials, total_degree = _fold(program, lambda label: (1, 0 if label is None else 1), shape)
     if n_monomials > limit:
         raise CapacityError.exceeded(n_monomials, "monomials", limit)
-
-    is_product = program.is_product
+    detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
+    table, expression_root, graph_root = diagrams(program, g)
+    if expression_root == graph_root and (n_monomials, total_degree) == (
+        table.count[graph_root],
+        table.size[graph_root],
+    ):
+        return VerificationReport("exact", "pass", detail=detail)
 
     def degree(k, degrees):
         return sum(degrees) if is_product[k] else max(degrees, default=0)
@@ -260,7 +300,6 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
     expanded = _expression_codes(program, code)
     distinct = set(expanded)
     paths = set(_graph_codes(g, code))  # distinct paths have distinct edge sets
-    detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
     if len(distinct) < len(expanded):
         side = "duplicate-in-expression"
         surplus = [m for m, count in Counter(expanded).items() if count > 1]

@@ -1,0 +1,184 @@
+"""Zero-suppressed decision diagrams: families of sets as one shared table.
+
+A ZDD (Minato, DAC 1993; Knuth, TAOCP 4A, section 7.1.4) stores a family of
+finite sets of integer variables.  Node 0 is the empty family and node 1 the
+family {{}} that holds only the empty set.  Any other node k is a triple
+(var, lo, hi): the sets of lo, none of which holds var, together with var
+added to each set of hi.  Variables increase from a node to its children, a
+node never has hi = 0 (zero suppression), and `node` makes one node per
+triple (the unique table), so a family is exactly one node: two families
+are equal when their nodes are.  Each node records its family's cardinality
+and total size (the sum of its sets' sizes) when it is made.
+
+`union` and `join` ({s | t : s in f, t in g}) are memoized, and run on an
+explicit stack rather than by recursion, so a diagram as deep as it has
+variables costs no Python frames.
+
+`diagrams` puts an expression's expansion and a graph's paths in one table,
+as families of label sets: it is the exact oracle's decision procedure, and
+only `oracle.check_exact` imports this module, when it runs.
+"""
+
+from __future__ import annotations
+
+from math import inf
+
+from .expr import Program, _fold
+from .graph import LabeledDigraph
+
+EMPTY, UNIT = 0, 1
+
+# Tasks on the stack of `ZDD._apply`, besides (op, f, g) for op = _UNION or
+# _JOIN: (_MAKE, var, hi, memo, key) makes node (var, <popped lo>, hi), or
+# pops hi as well when hi is _POP, and records it under `key` in `memo`;
+# (_UNION_TOP,) unites the two results on top of the result stack.
+_UNION, _JOIN, _MAKE, _UNION_TOP = 0, 1, 2, 3
+_POP = -1
+
+
+class ZDD:
+    """One unique table of diagram nodes, with the memos of its operations.
+
+    `var`, `lo`, `hi`, `count` and `size` are indexed by node: the two
+    terminals have variable `inf`, so every variable precedes them."""
+
+    __slots__ = ("var", "lo", "hi", "count", "size", "_unique", "_memos")
+
+    def __init__(self) -> None:
+        self.var: list[float] = [inf, inf]
+        self.lo = [EMPTY, UNIT]
+        self.hi = [EMPTY, UNIT]
+        self.count = [0, 1]
+        self.size = [0, 0]
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._memos: tuple[dict[tuple[int, int], int], ...] = ({}, {})  # union, join
+
+    def node(self, var: int, lo: int, hi: int) -> int:
+        """The node of (var, lo, hi), where var precedes every variable of lo
+        and hi; lo itself if hi is empty."""
+        if hi == EMPTY:
+            return lo
+        key = (var, lo, hi)
+        k = self._unique.get(key)
+        if k is None:
+            k = self._unique[key] = len(self.var)
+            self.var.append(var)
+            self.lo.append(lo)
+            self.hi.append(hi)
+            self.count.append(self.count[lo] + self.count[hi])
+            self.size.append(self.size[lo] + self.size[hi] + self.count[hi])
+        return k
+
+    def union(self, f: int, g: int) -> int:
+        return self._apply(_UNION, f, g)
+
+    def join(self, f: int, g: int) -> int:
+        """{s | t : s in f, t in g}: the product of two families of label
+        sets, in which x * x is x."""
+        return self._apply(_JOIN, f, g)
+
+    def _apply(self, op: int, f: int, g: int) -> int:
+        var, lo, hi, memos, node = self.var, self.lo, self.hi, self._memos, self.node
+        tasks: list[tuple] = [(op, f, g)]
+        results: list[int] = []
+        while tasks:
+            task = tasks.pop()
+            op = task[0]
+            if op == _MAKE:
+                _, v, h, memo, key = task
+                if h == _POP:
+                    h = results.pop()
+                k = memo[key] = node(v, results.pop(), h)
+                results.append(k)
+                continue
+            if op == _UNION_TOP:
+                g = results.pop()
+                tasks.append((_UNION, results.pop(), g))
+                continue
+            _, f, g = task
+            if f > g:  # both operations commute
+                f, g = g, f
+            if op == _UNION:
+                if f == EMPTY or f == g:
+                    results.append(g)
+                    continue
+            elif f <= UNIT:  # join: the empty family annihilates, {{}} is the unit
+                results.append(EMPTY if f == EMPTY else g)
+                continue
+            memo = memos[op]
+            key = (f, g)
+            k = memo.get(key)
+            if k is not None:
+                results.append(k)
+                continue
+            vf, vg = var[f], var[g]
+            if vf > vg:
+                f, g, vf, vg = g, f, vg, vf
+            if op == _UNION:
+                if vf < vg:  # g holds no set with vf
+                    tasks += [(_MAKE, vf, hi[f], memo, key), (_UNION, lo[f], g)]
+                else:
+                    tasks += [
+                        (_MAKE, vf, _POP, memo, key),
+                        (_UNION, hi[f], hi[g]),
+                        (_UNION, lo[f], lo[g]),
+                    ]
+            elif vf < vg:  # join: vf is in a set exactly when it comes from f
+                tasks += [(_MAKE, vf, _POP, memo, key), (_JOIN, hi[f], g), (_JOIN, lo[f], g)]
+            else:  # the sets with vf: hi-hi, hi-lo and lo-hi pairs
+                tasks += [
+                    (_MAKE, vf, _POP, memo, key),
+                    (_UNION_TOP,),
+                    (_JOIN, lo[f], hi[g]),
+                    (_UNION_TOP,),
+                    (_JOIN, hi[f], lo[g]),
+                    (_JOIN, hi[f], hi[g]),
+                    (_JOIN, lo[f], lo[g]),
+                ]
+        return results.pop()
+
+
+def diagrams(program: Program, g: LabeledDigraph) -> tuple[ZDD, int, int]:
+    """(table, expression root, graph root): the family of the label sets of
+    the monomials of `program`'s expansion, and the family of the edge sets
+    of `g`'s source-to-sink paths, in one table.
+
+    A label's variable is its edge's (topological position of the tail, of
+    the head), then the label; labels outside the graph follow, in label
+    order.  The graph's family is built backward: the sink's is {{}}, and a
+    vertex v's is the union, over its out-edges (v, w, l), of {l} joined
+    with w's family, which is the one node (l, empty, w's family), because
+    every edge below w has a later tail than l.  The expression's is a
+    `_fold`: a literal is a singleton, the unit {{}}, a sum a union and a
+    product a join.
+    """
+    order = g.topological_order
+    position = {v: i for i, v in enumerate(order)}
+    edges = sorted(g.edges, key=lambda edge: (position[edge[0]], position[edge[1]], edge[2]))
+    var = {label: i for i, (_, _, label) in enumerate(edges)}
+    for label in sorted(set(program.labels).difference(var)):
+        var[label] = len(var)
+    table = ZDD()
+
+    below: dict = {}
+    for v in reversed(order):
+        family = EMPTY if g.out_edges(v) else UNIT  # only the sink has no out-edge
+        for head, label in g.out_edges(v):
+            family = table.union(family, table.node(var[label], EMPTY, below[head]))
+        below[v] = family
+
+    is_product = program.is_product
+
+    def leaf(label):
+        return UNIT if label is None else table.node(var[label], EMPTY, UNIT)
+
+    def node(k, families):
+        # From the latest top variable up: a family whose variables all
+        # precede the accumulated ones then costs one walk over itself.
+        families.sort(key=table.var.__getitem__, reverse=True)
+        acc, apply = (UNIT, table.join) if is_product[k] else (EMPTY, table.union)
+        for family in families:
+            acc = apply(acc, family)
+        return acc
+
+    return table, _fold(program, leaf, node), below[g.source]

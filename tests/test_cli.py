@@ -378,6 +378,24 @@ class TestImports:
     def test_json_output_loads_json(self):
         assert "json" in self.loaded("gen", "5", "--output", "json")
 
+    def test_only_an_exact_check_loads_the_decision_diagrams(self):
+        script = (
+            "import sys\n"
+            "from srexpr.cli import main\n"
+            "codes = [main(['gen', '1', '--count-only']), main(['verify', '3', '--mode', 'fingerprint'])]\n"
+            "print('srexpr.zdd' in sys.modules, file=sys.stderr)\n"
+            "codes.append(main(['verify', '3']))\n"
+            "print('srexpr.zdd' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(max(codes))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parents[1], timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.split() == ["False", "True"]
+
 
 class TestBenchmarkNames:
     """Every srexpr name that `perfbench/` traces or imports still exists, so

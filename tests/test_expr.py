@@ -532,6 +532,16 @@ class TestSlotTable:
         assert seconds(to_json, first) < 2
         assert first == second and hash(first) == hash(second)
 
+    def test_a_node_is_hashed_without_lowering_it(self, monkeypatch):
+        # each hash is made once from the children's, not from a new table
+        nodes = distinct_nodes(generate(128))
+        assert len(nodes) == 4768
+        calls = []
+        real = compile_program
+        monkeypatch.setattr("srexpr.expr.compile_program", lambda e: calls.append(e) or real(e))
+        assert len(set(nodes)) == len(nodes)
+        assert calls == []
+
     def test_json_round_trip_of_sr512_costs_the_dag(self):
         # `to_json` shares one dict per slot, so `from_json` reads each once
         start = time.perf_counter()

@@ -295,6 +295,58 @@ class TestExactCodes:
             check_exact(huge, build_sr(3), limit=1000)
 
 
+LABELS_UP = [lit(f"a{i}") for i in range(1, 4001)]
+
+
+class TestExactDecision:
+    """`check_exact` decides with one decision diagram and enumerates only to
+    name a failure's witness."""
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            make_product(LABELS_UP),
+            make_product(LABELS_UP[::-1]),
+            make_sum(LABELS_UP),
+            make_sum(LABELS_UP[::-1]),
+            # a join that walks a chain of 4,000 nodes: no recursion may follow it
+            Prod((make_product(LABELS_UP), lit("a4001"))),
+        ],
+        ids=["product-up", "product-down", "sum-up", "sum-down", "chain-times-literal"],
+    )
+    def test_deep_expressions_keep_their_verdicts(self, e):
+        g = build_sr(2)
+        assert_same_report(check_exact(e, g), reference_check_exact(e, g))
+
+    @pytest.mark.parametrize(
+        "extra, witness",
+        [
+            ([lit("b1")], {"monomial": "b1", "side": "duplicate-in-expression"}),
+            ([], {"monomial": "b1*b1", "side": "expression-only"}),
+        ],
+        ids=["duplicate", "square"],
+    )
+    def test_the_path_family_with_a_repeat_fails(self, extra, witness):
+        # the diagram of each expression is the path family of SR(2): only the
+        # count or the total size tells them apart
+        b1 = lit("b1") if extra else make_product([lit("b1"), lit("b1")])
+        e1e2, d1d2 = make_product([lit("e1"), lit("e2")]), make_product([lit("d1"), lit("d2")])
+        e = make_sum([b1, e1e2, d1d2, *extra])
+        report = check_exact(e, build_sr(2))
+        assert report.witness == witness
+        assert_same_report(report, reference_check_exact(e, build_sr(2)))
+
+    def test_a_pass_enumerates_nothing(self, monkeypatch):
+        def enumerate_(*args):
+            raise AssertionError("a pass enumerated a side")
+
+        monkeypatch.setattr("srexpr.oracle._expression_codes", enumerate_)
+        monkeypatch.setattr("srexpr.oracle._graph_codes", enumerate_)
+        report = check_exact(generate(11), build_sr(11))
+        assert report.passed
+        assert report.detail == {"expression_monomials": 413403, "graph_paths": 413403}
+
+
 class TestEmptyNodes:
     """Hand-built empty sums and products get a verdict from both oracles."""
 
