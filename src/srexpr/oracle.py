@@ -285,10 +285,8 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
         raise CapacityError.exceeded(n_monomials, "monomials", limit)
     detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
     table, expression_root, graph_root = diagrams(program, g)
-    if expression_root == graph_root and (n_monomials, total_degree) == (
-        table.count[graph_root],
-        table.size[graph_root],
-    ):
+    family = (table.count[graph_root], table.size[graph_root])
+    if expression_root == graph_root and (n_monomials, total_degree) == family:
         return VerificationReport("exact", "pass", detail=detail)
 
     def degree(k, degrees):
@@ -308,7 +306,7 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
         side, surplus = "expression-only", distinct - paths
         if not surplus:
             side, surplus = "graph-only", paths - distinct
-    else:
+    else:  # not reached while the diagram is right: enumeration has the last word
         return VerificationReport("exact", "pass", detail=detail)
     witness = {"monomial": str(_least(list(surplus), labels, width)), "side": side}
     return VerificationReport("exact", "fail", witness=witness, detail=detail)

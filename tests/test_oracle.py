@@ -319,19 +319,17 @@ class TestExactDecision:
         assert_same_report(check_exact(e, g), reference_check_exact(e, g))
 
     @pytest.mark.parametrize(
-        "extra, witness",
+        "addends, witness",
         [
-            ([lit("b1")], {"monomial": "b1", "side": "duplicate-in-expression"}),
-            ([], {"monomial": "b1*b1", "side": "expression-only"}),
+            (["b1", "e1*e2", "d1*d2", "b1"], {"monomial": "b1", "side": "duplicate-in-expression"}),
+            (["b1*b1", "e1*e2", "d1*d2"], {"monomial": "b1*b1", "side": "expression-only"}),
         ],
         ids=["duplicate", "square"],
     )
-    def test_the_path_family_with_a_repeat_fails(self, extra, witness):
+    def test_the_path_family_with_a_repeat_fails(self, addends, witness):
         # the diagram of each expression is the path family of SR(2): only the
         # count or the total size tells them apart
-        b1 = lit("b1") if extra else make_product([lit("b1"), lit("b1")])
-        e1e2, d1d2 = make_product([lit("e1"), lit("e2")]), make_product([lit("d1"), lit("d2")])
-        e = make_sum([b1, e1e2, d1d2, *extra])
+        e = make_sum([make_product(map(lit, addend.split("*"))) for addend in addends])
         report = check_exact(e, build_sr(2))
         assert report.witness == witness
         assert_same_report(report, reference_check_exact(e, build_sr(2)))
