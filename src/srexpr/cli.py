@@ -21,7 +21,7 @@ import sys
 from . import complexity
 from . import vda
 from .errors import CapacityError, SrexprError
-from .expr import DEFAULT_PRIME, _write_json, to_text
+from .expr import DEFAULT_PRIME, _write_json, _write_text
 from .graph import Terminal, basic, build_sr, induced_subgraph, sr_path_count, to_dot
 from .oracle import check_exact, check_fingerprint, check_fingerprint_parameters
 
@@ -72,19 +72,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
         if args.count_only:
             _emit_json(payload)
         else:
-            # The AST goes in last, spliced into the payload's text rather
-            # than built as a dict tree: the layout is json.dumps(indent=2).
-            payload["expression"] = to_text(program, separator)
-            head = _json_text(payload)
-            sys.stdout.write(head[: -len("\n}")])
-            sys.stdout.write(',\n  "ast": ')
-            _write_json(program, sys.stdout.write, "  ")
-            sys.stdout.write("\n}\n")
+            # The expression and the AST go in last, each streamed into the
+            # payload's text rather than held whole: the layout is
+            # json.dumps(indent=2).  The expression is written as it is, with
+            # no escaping: its characters are label letters a-e, digits and
+            # "+*()", which a JSON string holds unescaped.
+            write = sys.stdout.write
+            write(_json_text(payload)[: -len("\n}")])
+            write(',\n  "expression": "')
+            _write_text(program, write, separator)
+            write('",\n  "ast": ')
+            _write_json(program, write, "  ")
+            write("\n}\n")
     elif args.count_only:
         print(count)
     else:
-        print(to_text(program, separator))
-        print(f"literals: {count}")
+        _write_text(program, sys.stdout.write, separator)
+        print(f"\nliterals: {count}")
     return 0
 
 

@@ -26,18 +26,22 @@ A node's `hash` is kept on it, made once from its children's.  Literals are
 counted per occurrence.
 
 Every other pass over a table is a `_fold`, which hands each slot its
-children's values, so each distinct node is built, rendered or counted
-once: `to_expr` (one node per slot, one Lit per label), `to_text`,
-`to_json`, the counts and the exact oracle's diagram and monomial codes.
-Three are not.  `Program.run`, the fingerprint oracle's inner loop, stays a
-flat loop over modular ints for speed; `iter_expansion` streams monomials,
-which a fold of whole values cannot; and `_write_json` (`to_json_text` and
-`gen --output json`) writes the JSON text while walking the tree written
-out, so that no subtree's text is held: rendered by a fold, the large
-texts' copies made the peak RSS of a run depend on how the heap happened
-to be laid out.  Every pass takes an Expr or a Program alike.  A
-hand-built empty Sum or Prod, which `make_sum` / `make_product` never
-make, folds as zero or as the unit.
+children's values, so each distinct node is built or counted once:
+`to_expr` (one node per slot, one Lit per label), `to_json`, the counts and
+the exact oracle's diagram and monomial codes.  Four are not.
+`Program.run`, the fingerprint oracle's inner loop, stays a flat loop over
+modular ints for speed; `iter_expansion` streams monomials, which a fold of
+whole values cannot; and the two text writers, `_write_text` (`to_text`,
+`gen` text and the `expression` field of `gen --output json`) and
+`_write_json` (`to_json_text` and the `ast` field), write while walking
+the tree written out, in buffer-sized chunks.  `_write_text` renders once
+and keeps only nodes of at most `_TEXT_CACHE_CHARS` (4,096) characters, so
+a run's memory is those small texts plus the tree's depth, not the output:
+rendered by a fold, the large texts and their copies made the peak RSS grow
+with the text and depend on how the heap happened to be laid out.  Every
+pass takes an Expr or a Program alike.  A hand-built empty Sum or Prod,
+which `make_sum` / `make_product` never make, folds as zero or as the unit;
+its text is "".
 """
 
 from __future__ import annotations
@@ -297,9 +301,8 @@ class ProgramBuilder:
     generator flattens its size-1 parallelograms into bridge products) stays
     the tuple of its factors' slots until a sum or `finish` interns it or a
     product splices it in.  Other products are interned at once, in
-    post-order: deferred too, they sat after their siblings' subtrees, and
-    the text fold's peak RSS rose.  `compile_program` and `from_json` call
-    `_intern` directly.  `finish` returns the builder's lists."""
+    post-order.  `compile_program` and `from_json` call `_intern` directly.
+    `finish` returns the builder's lists."""
 
     __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
     one = -1
@@ -422,21 +425,72 @@ def _fold(program: Program, leaf, node):
     return values[program.root]
 
 
+#: `_write_text` renders once and keeps the text of every node of at most
+#: this many characters, and streams larger nodes' text.
+_TEXT_CACHE_CHARS = 4096
+
+
+def _write_text(program: Program, write, separator: str = "*") -> None:
+    """Write `to_text(program, separator)` through `write`, in chunks of about
+    `io.DEFAULT_BUFFER_SIZE` characters.  One pass in slot order folds each
+    slot's text length and renders, from its children's texts, each node of
+    at most `_TEXT_CACHE_CHARS` characters; a larger node is written by
+    walking its children.  So memory is the small nodes' texts and the depth
+    of the tree, not the text."""
+    labels, is_product, children = program.labels, program.is_product, program.children
+    texts = [""] * len(children) + [str(label) for label in reversed(labels)] + ["1"]
+    lengths = [0] * len(children) + [len(text) for text in texts[len(children) :]]
+    # A slot's length as a product's factor: a sum's is 2 more, for the
+    # parentheses around it.
+    factor_lengths = lengths[:]
+    for k, slots in enumerate(children):
+        if not slots:  # a hand-built empty sum or product: ""
+            continue
+        if is_product[k]:
+            length = sum(map(factor_lengths.__getitem__, slots)) + len(separator) * (len(slots) - 1)
+            lengths[k] = factor_lengths[k] = length
+            if length <= _TEXT_CACHE_CHARS:
+                texts[k] = separator.join(
+                    [f"({texts[s]})" if s >= 0 and not is_product[s] else texts[s] for s in slots]
+                )
+        else:
+            lengths[k] = length = sum(map(lengths.__getitem__, slots)) + len(slots) - 1
+            factor_lengths[k] = length + 2
+            if length <= _TEXT_CACHE_CHARS:
+                texts[k] = "+".join(map(texts.__getitem__, slots))
+    chunk = io.StringIO()
+    put = chunk.write
+
+    def walk(slot: int) -> None:
+        if lengths[slot] <= _TEXT_CACHE_CHARS:
+            put(texts[slot])
+            return
+        product = is_product[slot]
+        joiner, lead = separator if product else "+", ""
+        for child in children[slot]:
+            put(lead)
+            lead = joiner
+            if product and child >= 0 and not is_product[child]:
+                put("(")
+                walk(child)
+                put(")")
+            else:
+                walk(child)
+            if chunk.tell() >= io.DEFAULT_BUFFER_SIZE:
+                write(chunk.getvalue())
+                chunk.seek(0)
+                chunk.truncate()
+
+    walk(program.root)
+    write(chunk.getvalue())
+
+
 def to_text(e: Expr | Program, product_separator: str = "*") -> str:
     """Infix rendering: `+` between addends, factors joined by the separator,
     parentheses exactly around sum factors.  Pass "" to juxtapose factors."""
-    program = compile_program(e)
-    is_product, children = program.is_product, program.children
-
-    def node(k, texts):
-        if not is_product[k]:
-            return "+".join(texts)
-        for i, slot in enumerate(children[k]):
-            if slot >= 0 and not is_product[slot]:
-                texts[i] = f"({texts[i]})"
-        return product_separator.join(texts)
-
-    return _fold(program, lambda label: "1" if label is None else str(label), node)
+    chunks: list[str] = []
+    _write_text(compile_program(e), chunks.append, product_separator)
+    return "".join(chunks)
 
 
 def _write_json(program: Program, write, pad: str = "") -> None:

@@ -30,6 +30,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+class Sha256Writer:
+    """A stand-in for stdout that keeps only the sha256 of what is written."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 class TestGen:
     def test_golden_expression(self, capsys):
         code, out, _ = run(capsys, "gen", "3")
@@ -86,11 +100,14 @@ class TestGen:
             (30, ("--sub", "b3,u20")),
             (3, ("--sub", "b1,u1")),  # the root is the literal e1
             (4, ("--sub", "u1,l2")),  # the root is the product e2*d3
+            (200, ("--juxtapose",)),
+            (200, ("--sub", "u45,l155")),  # size 110
         ],
     )
-    def test_json_equals_dumped_payload(self, capsys, n, flags):
-        # The payload as a dict tree, dumped whole: the layout the spliced
-        # output must keep byte for byte.
+    def test_json_equals_dumped_payload(self, monkeypatch, n, flags):
+        # The payload as a dict tree, dumped as json.dumps(indent=2) dumps it:
+        # the layout the streamed output must keep byte for byte.  Both sides
+        # are hashed as they are written, for SR(200)'s payload is 444 MB.
         if flags[:1] == ("--sub",):
             src, dst = map(Terminal.parse, flags[1].split(","))
             e = expression(n, SubExprKey(src, dst))
@@ -100,9 +117,14 @@ class TestGen:
         payload = {"schema_version": 1, "n": n, "literals": literal_count(e), **extra}
         payload["expression"] = to_text(e, "" if "--juxtapose" in flags else "*")
         payload["ast"] = to_json(e)
-        code, out, _ = run(capsys, "gen", str(n), *flags, "--output", "json")
-        assert code == 0
-        assert out == json.dumps(payload, indent=2) + "\n"
+        want = hashlib.sha256()
+        for piece in json.JSONEncoder(indent=2).iterencode(payload):
+            want.update(piece.encode())
+        want.update(b"\n")
+        out = Sha256Writer()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["gen", str(n), *flags, "--output", "json"]) == 0
+        assert out.sha.hexdigest() == want.hexdigest()
 
     def test_json_is_written_without_to_json_text(self, capsys, monkeypatch):
         # The CLI writes the AST as the renderer's root pieces, never as the
@@ -120,6 +142,20 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "12", "--output", "json")
         assert code == 0
         assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_expression_is_written_without_to_text(self, capsys, monkeypatch, output):
+        # The CLI streams the expression through the writer, never as the
+        # library's whole joined text.
+        want = run(capsys, "gen", "12", "--output", output)
+
+        def refuse(e, product_separator="*"):
+            raise AssertionError("the CLI built the whole expression text")
+
+        monkeypatch.setattr("srexpr.expr.to_text", refuse)
+        monkeypatch.setattr("srexpr.cli.to_text", refuse, raising=False)
+        assert want[0] == 0
+        assert run(capsys, "gen", "12", "--output", output) == want
 
     def test_text_matches_golden_digest(self, capsys):
         want = json.loads(GOLDEN.read_text())["text"]["200"]["sha256"]
@@ -474,7 +510,14 @@ class TestCrash:
 
 class TestClosedPipe:
     @pytest.mark.parametrize(
-        "argv", [("gen", "64"), ("gen", "24", "--output", "json")], ids=["text", "json"]
+        "argv",
+        [
+            ("gen", "64"),
+            ("gen", "24", "--output", "json"),
+            ("gen", "200", "--juxtapose", "--output", "json"),
+            ("gen", "200", "--sub", "u45,l155", "--output", "json"),
+        ],
+        ids=["text", "json", "json-juxtaposed-200", "json-sub-110"],
     )
     def test_closed_output_pipe_exits_141_quietly(self, argv):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -35,7 +36,15 @@ from srexpr import (
     to_json,
     to_text,
 )
-from srexpr.expr import Program, _write_json, compile_program, iter_expansion, to_json_text
+from srexpr.expr import (
+    Program,
+    _TEXT_CACHE_CHARS,
+    _write_json,
+    _write_text,
+    compile_program,
+    iter_expansion,
+    to_json_text,
+)
 from srexpr.graph import Terminal, basic, lower, path_count, upper
 from srexpr.vda import SubExprKey, expression, program
 from test_vda import terminal_pairs
@@ -348,6 +357,43 @@ class TestEmitters:
         # A hand-built table may hold slots that its root does not reach.
         program = Program((EdgeLabel("b", 1),), b"\x01", ((-2, -2),), -2)
         assert to_json_text(program) == json.dumps({"lit": "b1"}, indent=2)
+
+    @pytest.mark.parametrize("separator", ["*", ""])
+    def test_text_is_written_in_bounded_chunks(self, separator):
+        # SR(64) renders 247 K characters; a chunk holds at most a buffer's
+        # worth, then one cached node's text and the parentheses around it.
+        built = program(64, SubExprKey(basic(1), basic(64)))
+        chunks = []
+        _write_text(built, chunks.append, separator)
+        assert "".join(chunks) == reference_text(generate(64), separator)
+        assert len(chunks) > 1
+        assert max(map(len, chunks)) <= 2 * io.DEFAULT_BUFFER_SIZE + _TEXT_CACHE_CHARS
+
+    def test_text_is_written_without_holding_it(self):
+        # SR(512) renders 63 MB of text; writing it to a sink that drops each
+        # chunk holds the cached small texts and the tree's depth, not the text.
+        built = program(512, SubExprKey(basic(1), basic(512)))
+        written = 0
+
+        def discard(chunk):
+            nonlocal written
+            written += len(chunk)
+
+        tracemalloc.start()
+        try:
+            _write_text(built, discard)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written > 63_000_000
+        assert peak < written / 4
+
+    def test_text_of_a_leaf_root_beside_unreached_slots(self):
+        program = Program((EdgeLabel("b", 1),), b"\x01", ((-2, -2),), -2)
+        chunks = []
+        _write_text(program, chunks.append)
+        assert chunks == ["b1"]
+        assert to_text(program) == "b1"
 
 
 class TestJson:
