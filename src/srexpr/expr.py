@@ -28,8 +28,9 @@ counted per occurrence.
 Every other pass over a table is a `_fold`, which hands each slot its
 children's values, so each distinct node is built or counted once:
 `to_expr` (one node per slot, one Lit per label), `to_json`, the counts and
-the exact oracle's diagram and monomial codes.  Four are not.
-`Program.run`, the fingerprint oracle's inner loop, stays a flat loop over
+the exact oracle's diagram and monomial codes, of an expression or of a
+graph's path polynomial (`oracle.graph_program`).  Four are not.
+`Program.run`, both sides of the fingerprint, stays a flat loop over
 modular ints for speed; `iter_expansion` streams monomials, which a fold of
 whole values cannot; and the two text writers, `_write_text` (`to_text`,
 `gen` text and the `expression` field of `gen --output json`) and

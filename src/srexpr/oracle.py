@@ -13,10 +13,13 @@ Two independent oracles:
     label multisets, repeated labels included.  Both sides stay bounded by
     `limit`, which the path and monomial counts check before any work.
   * `check_fingerprint` compares random evaluations of the expression against
-    a dynamic program over the graph that computes the same polynomial
-    without ever expanding it.  Scales to any n; per-trial false-pass
-    probability is at most deg/prime with deg <= 2(n-1), and the modulus
-    must be a prime above deg (`is_prime`).
+    those of the graph's path polynomial, without ever expanding either.
+    Scales to any n; per-trial false-pass probability is at most deg/prime
+    with deg <= 2(n-1), and the modulus must be a prime above deg
+    (`is_prime`).
+
+The graph's path polynomial is a Program too, `graph_program(g)`, so each
+oracle reads the graph by a pass it makes over the expression.
 
 Both oracles range over the union of the graph's and the expression's labels,
 so an edge outside the graph is one more variable and not a separate failure.
@@ -30,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Mapping
 
-from .errors import CapacityError, DomainError, UnboundLabelError
+from .errors import CapacityError, DomainError
 from .expr import (
     DEFAULT_PRIME,
     EdgeLabel,
@@ -104,26 +107,41 @@ class SplitMix64:
         return 1 + self.next_u64() % (prime - 1)
 
 
-def dp_eval(
-    g: LabeledDigraph, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME
-) -> int:
-    """Evaluate the path-sum polynomial of `g` without expanding it.
+def graph_program(g: LabeledDigraph | Program) -> Program:
+    """The path polynomial of `g` (a Program is returned as it is), by one
+    backward pass over topological order: the sink is the unit, an edge into
+    it is its literal, and any other vertex v is the sum, over its out-edges
+    (v, w, l), of the product (l, w's slot), or that term alone when it is
+    the only one.  Every slot is distinct, so none is interned."""
+    if isinstance(g, Program):
+        return g
+    labels = g.labels()
+    leaf = {label: -2 - j for j, label in enumerate(labels)}
+    is_product = bytearray()
+    children: list[tuple[int, ...]] = []
+    slot = {g.sink: -1}
+    for v in reversed(g.topological_order[:-1]):  # the sink comes last
+        terms = []
+        for head, label in g.out_edges(v):
+            if head == g.sink:
+                terms.append(leaf[label])
+            else:
+                terms.append(len(children))
+                children.append((leaf[label], slot[head]))
+                is_product.append(1)
+        if len(terms) > 1:
+            children.append(tuple(terms))
+            is_product.append(0)
+        slot[v] = terms[0] if len(terms) == 1 else len(children) - 1
+    return Program(labels, bytes(is_product), tuple(children), slot[g.source])
 
-    Forward recurrence over topological order: value(source) = 1 and
-    value(v) = sum over in-edges (u, v, l) of value(u) * assignment(l).  By
-    distributivity the sink value equals the evaluated sum over all paths of
-    the product of edge labels.
-    """
-    value = {g.source: 1 % prime}
-    try:
-        for v in g.topological_order[1:]:  # the source comes first
-            total = 0
-            for u, label in g.in_edges(v):
-                total += value[u] * assignment[label]
-            value[v] = total % prime
-    except KeyError as exc:  # tails come first in the order, so a label is missing
-        raise UnboundLabelError(str(exc.args[0])) from None
-    return value[g.sink]
+
+def dp_eval(
+    g: LabeledDigraph | Program, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME
+) -> int:
+    """Value of the path polynomial of `g` modulo `prime`, without expanding
+    it: one run of `graph_program(g)`, which takes a graph or its table."""
+    return graph_program(g).run(assignment, prime)
 
 
 class VerificationReport:
@@ -207,26 +225,6 @@ def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[i
     return _fold(program, lambda label: [0 if label is None else code[label]], node)
 
 
-def _graph_codes(g: LabeledDigraph, code: Mapping[EdgeLabel, int]) -> list[int]:
-    """The code of every source-to-sink path of `g`, each path once.
-
-    A forward pass over topological order: a vertex holds the codes of its
-    paths from the source, and drops them after its last out-edge is taken.
-    """
-    remaining = {v: len(g.out_edges(v)) for v in g.vertices}
-    at = {g.source: [0]}
-    for v in g.topological_order[1:]:  # the source comes first: it alone has no in-edge
-        codes: list[int] = []
-        for tail, label in g.in_edges(v):
-            step = code[label]
-            codes += [m + step for m in at[tail]]
-            remaining[tail] -= 1
-            if not remaining[tail]:
-                del at[tail]
-        at[v] = codes
-    return at[g.sink]
-
-
 def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> VerificationReport:
     """Pass iff the expansion of `e` equals the path-monomial multiset of `g`
     and contains no duplicate monomials.
@@ -249,17 +247,17 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
     pairs are equal, the expansion is a set of squarefree monomials, and
     that set is its family, the path family.
 
-    Only a failure enumerates both sides in full, to name its witness: the
-    expansion by one pass over the compiled expression, the paths by a
-    forward pass over the graph that never looks at `e`.  A monomial is one
-    int: over the sorted union of both sides' labels, label i adds 1 to the
-    i-th field of `width` bits, where `width` is the bit length of the
-    largest degree in the expansion (at least 1, for the graph's squarefree
-    paths).  No field can carry into the next, so equal codes mean equal
-    multisets of labels, repeated labels included; a bitmask would merge b1
-    with b1*b1.  The witness is the least monomial, in Monomial order, among
-    the duplicates or else the one-sided surplus, and only it is decoded
-    back into a Monomial.
+    Only a failure enumerates both sides in full, to name its witness, by
+    one pass over each table: the expression's and `graph_program(g)`,
+    which the diagram folds too and which never looks at `e`.  A monomial
+    is one int: over the sorted union of both sides' labels, label i adds 1
+    to the i-th field of `width` bits, where `width` is the bit length of
+    the largest degree in the expansion (at least 1, for the graph's
+    squarefree paths).  No field can carry into the next, so equal codes
+    mean equal multisets of labels, repeated labels included; a bitmask
+    would merge b1 with b1*b1.  The witness is the least monomial, in
+    Monomial order, among the duplicates or else the one-sided surplus, and
+    only it is decoded back into a Monomial.
 
     Raises CapacityError when either side would exceed `limit` monomials,
     a pass as well as a failure.
@@ -284,7 +282,8 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
     if n_monomials > limit:
         raise CapacityError.exceeded(n_monomials, "monomials", limit)
     detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
-    table, expression_root, graph_root = diagrams(program, g)
+    graph = graph_program(g)
+    table, expression_root, graph_root = diagrams(program, graph, g)
     family = (table.count[graph_root], table.size[graph_root])
     if expression_root == graph_root and (n_monomials, total_degree) == family:
         return VerificationReport("exact", "pass", detail=detail)
@@ -297,7 +296,7 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
     code = {label: 1 << (width * i) for i, label in enumerate(labels)}
     expanded = _expression_codes(program, code)
     distinct = set(expanded)
-    paths = set(_graph_codes(g, code))  # distinct paths have distinct edge sets
+    paths = set(_expression_codes(graph, code))  # distinct paths have distinct edge sets
     if len(distinct) < len(expanded):
         side = "duplicate-in-expression"
         surplus = [m for m, count in Counter(expanded).items() if count > 1]
@@ -338,9 +337,11 @@ def _assignment_digest(names: list[str], values: list[int]) -> str:
 
 
 def check_fingerprint_parameters(trials: int, prime: int, degree: int) -> None:
-    """Raise DomainError unless trials >= 1 and `prime` is a prime greater
-    than `degree`, the degree of the path polynomial (2(n-1) in SR(n)), below
-    which the per-trial false-pass bound is meaningless."""
+    """Raise DomainError unless `trials` is an int >= 1, not a bool, and
+    `prime` a prime greater than `degree`, the path polynomial's degree
+    (2(n-1) in SR(n)), below which the false-pass bound is meaningless."""
+    if type(trials) is not int:
+        raise DomainError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if not is_prime(prime):
@@ -358,10 +359,10 @@ def check_fingerprint(
 ) -> VerificationReport:
     """Randomized identity test of `e` against the path-sum polynomial of `g`.
 
-    Compiles `e` once, then runs `trials` independent rounds.  Each round
-    draws a fresh nonzero assignment for every label of `g` or `e` (in
-    sorted order, from a per-trial generator seeded off the master seed) and
-    compares the compiled expression's value against `dp_eval`.  The
+    Compiles `e` and `g` (`graph_program`) once, then runs `trials` rounds.
+    Each round draws a fresh nonzero assignment for every label of `g` or
+    `e` (in sorted order, from a per-trial generator seeded off the master
+    seed) and compares the two tables' values (`dp_eval` for `g`'s).  The
     transcript of every round is kept in the report detail, so identical
     (seed, trials, prime) yield identical reports.  An edge outside `g` is
     thus one more variable: like any other difference between the
@@ -369,10 +370,13 @@ def check_fingerprint(
     vanishes.
 
     Raises DomainError as `check_fingerprint_parameters` does, with the
-    longest path length of `g` as the degree.
+    longest path length of `g` as the degree, and for a seed not an int.
     """
+    if type(seed) is not int:
+        raise DomainError(f"the seed must be an int, got {seed!r}")
     check_fingerprint_parameters(trials, prime, path_length_range(g)[1])
     program = compile_program(e)
+    graph = graph_program(g)
     labels = sorted(set(g.labels()).union(program.labels))
     names = [f"{label}=" for label in labels]
     master = SplitMix64(seed)
@@ -384,7 +388,7 @@ def check_fingerprint(
         values = [rng.field_element(prime) for _ in labels]
         assignment = dict(zip(labels, values))
         expr_value = program.run(assignment, prime)
-        graph_value = dp_eval(g, assignment, prime)
+        graph_value = dp_eval(graph, assignment, prime)
         row = {
             "trial": trial,
             "trial_seed": trial_seed,

@@ -14,13 +14,16 @@ and total size (the sum of its sets' sizes) when it is made.
 explicit stack rather than by recursion, so a diagram as deep as it has
 variables costs no Python frames.
 
-`diagrams` puts an expression's expansion and a graph's paths in one table,
-as families of label sets: it is the exact oracle's decision procedure, and
-only `oracle.check_exact` imports this module, when it runs.
+`diagrams` folds two slot tables into one diagram table, as families of
+label sets: an expression's, and its graph's path polynomial
+(`oracle.graph_program`), by the same steps.  It is the exact oracle's
+decision procedure, and only `oracle.check_exact` imports this module, when
+it runs.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import inf
 
 from .expr import Program, _fold
@@ -138,19 +141,18 @@ class ZDD:
         return results.pop()
 
 
-def diagrams(program: Program, g: LabeledDigraph) -> tuple[ZDD, int, int]:
+def diagrams(program: Program, graph: Program, g: LabeledDigraph) -> tuple[ZDD, int, int]:
     """(table, expression root, graph root): the family of the label sets of
-    the monomials of `program`'s expansion, and the family of the edge sets
-    of `g`'s source-to-sink paths, in one table.
+    the monomials of `program`'s expansion, and that of `graph`, the table
+    `oracle.graph_program(g)`, whose monomials are the edge sets of `g`'s
+    source-to-sink paths, in one table.
 
     A label's variable is its edge's (topological position of the tail, of
     the head), then the label; labels outside the graph follow, in label
-    order.  The graph's family is built backward: the sink's is {{}}, and a
-    vertex v's is the union, over its out-edges (v, w, l), of {l} joined
-    with w's family, which is the one node (l, empty, w's family), because
-    every edge below w has a later tail than l.  The expression's is a
-    `_fold`: a literal is a singleton, the unit {{}}, a sum a union and a
-    product a join.
+    order.  Both are a `_fold` with the same steps: a literal is a
+    singleton, the unit {{}}, a sum a union and a product a join.  On the
+    graph's table each union and join makes one node, as an edge's variable
+    precedes every variable below its head.
     """
     order = g.topological_order
     position = {v: i for i, v in enumerate(order)}
@@ -160,19 +162,10 @@ def diagrams(program: Program, g: LabeledDigraph) -> tuple[ZDD, int, int]:
         var[label] = len(var)
     table = ZDD()
 
-    below: dict = {}
-    for v in reversed(order):
-        family = EMPTY if g.out_edges(v) else UNIT  # only the sink has no out-edge
-        for head, label in g.out_edges(v):
-            family = table.union(family, table.node(var[label], EMPTY, below[head]))
-        below[v] = family
-
-    is_product = program.is_product
-
     def leaf(label):
         return UNIT if label is None else table.node(var[label], EMPTY, UNIT)
 
-    def node(k, families):
+    def node(is_product, k, families):
         # From the latest top variable up: a family whose variables all
         # precede the accumulated ones then costs one walk over itself.
         families.sort(key=table.var.__getitem__, reverse=True)
@@ -181,4 +174,5 @@ def diagrams(program: Program, g: LabeledDigraph) -> tuple[ZDD, int, int]:
             acc = apply(acc, family)
         return acc
 
-    return table, _fold(program, leaf, node), below[g.source]
+    roots = [_fold(p, leaf, partial(node, p.is_product)) for p in (program, graph)]
+    return table, roots[0], roots[1]

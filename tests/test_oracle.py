@@ -45,7 +45,7 @@ from srexpr import (
     upper,
 )
 from srexpr.graph import _iter_path_labels
-from srexpr.oracle import is_prime
+from srexpr.oracle import check_fingerprint_parameters, is_prime
 
 # Standard first outputs of the split-mix construction.
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -339,7 +339,6 @@ class TestExactDecision:
             raise AssertionError("a pass enumerated a side")
 
         monkeypatch.setattr("srexpr.oracle._expression_codes", enumerate_)
-        monkeypatch.setattr("srexpr.oracle._graph_codes", enumerate_)
         report = check_exact(generate(11), build_sr(11))
         assert report.passed
         assert report.detail == {"expression_monomials": 413403, "graph_paths": 413403}
@@ -398,6 +397,27 @@ class TestCheckFingerprint:
     def test_trial_count_validated(self):
         with pytest.raises(ValueError):
             check_fingerprint(ONE, build_sr(1), trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "3", None])
+    def test_trial_count_must_be_an_int(self, trials):
+        with pytest.raises(DomainError):
+            check_fingerprint(generate(3), build_sr(3), trials=trials)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7", None])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(DomainError):
+            check_fingerprint(generate(3), build_sr(3), seed=seed)
+
+    def test_wrong_types_are_refused_before_any_work(self, monkeypatch):
+        def work(*args):
+            raise AssertionError("a refused call did work")
+
+        monkeypatch.setattr("srexpr.oracle.compile_program", work)
+        monkeypatch.setattr("srexpr.oracle.path_length_range", work)
+        with pytest.raises(DomainError):
+            check_fingerprint(generate(3), build_sr(3), seed=1.5)
+        with pytest.raises(DomainError):
+            check_fingerprint_parameters(2.5, DEFAULT_PRIME, 4)
 
     @pytest.mark.parametrize("prime", [1, 4, (1 << 61) + 1, 13])
     def test_modulus_must_be_a_prime_above_the_degree(self, prime):

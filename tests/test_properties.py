@@ -1,5 +1,6 @@
 """Property tests: the count fold, the JSON round trip, node equality, the
-two table converters and the two oracles on random inputs."""
+two table converters, the two oracles and the graph's table on random
+inputs."""
 
 import pytest
 
@@ -8,6 +9,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from srexpr import (  # noqa: E402
     CapacityError,
+    DEFAULT_PRIME,
     EdgeLabel,
     Lit,
     MalformedExpressionError,
@@ -22,8 +24,16 @@ from srexpr import (  # noqa: E402
     literal_count,
     to_json,
 )
-from srexpr.expr import compile_program, to_expr  # noqa: E402
-from srexpr.graph import OrderingError, Terminal, TerminalKind, classify  # noqa: E402
+from srexpr.expr import Program, compile_program, to_expr  # noqa: E402
+from srexpr.graph import (  # noqa: E402
+    LabeledDigraph,
+    OrderingError,
+    Terminal,
+    TerminalKind,
+    _iter_path_labels,
+    classify,
+)
+from srexpr.oracle import graph_program  # noqa: E402
 from srexpr.vda import SubExprKey, count_literals, expression  # noqa: E402
 from test_oracle import assert_same_report, reference_check_exact  # noqa: E402
 
@@ -171,3 +181,55 @@ def test_from_json_inverts_to_json(case):
             from_json(to_json(e))
     else:
         assert from_json(to_json(e)) == e
+
+
+@st.composite
+def st_dags(draw):
+    """A small st-dag: up to 7 vertices, parallel edges allowed, distinct
+    labels.  The vertices are drawn in a path order unrelated to their own
+    order, and every vertex but the source gets an in-edge from an earlier
+    one and every vertex but the sink an out-edge to a later one, so every
+    vertex lies on a source-to-sink path."""
+    pool = [Terminal(kind, i) for kind in TerminalKind for i in (1, 2, 3)]
+    k = draw(st.integers(1, 7))
+    vertices = draw(st.permutations(pool))[:k]
+    pairs = [(draw(st.integers(0, j - 1)), j) for j in range(1, k)]
+    pairs += [(i, draw(st.integers(i + 1, k - 1))) for i in range(k - 1)]
+    if k > 1:
+        tail = st.integers(0, k - 2)
+        extra = tail.flatmap(lambda i: st.tuples(st.just(i), st.integers(i + 1, k - 1)))
+        pairs += draw(st.lists(extra, max_size=6))
+    names = st.tuples(st.sampled_from("abcde"), st.integers(1, 30))
+    labels = draw(st.lists(names, min_size=len(pairs), max_size=len(pairs), unique=True))
+    edges = [(vertices[i], vertices[j], EdgeLabel(*label)) for (i, j), label in zip(pairs, labels)]
+    return LabeledDigraph(vertices, edges, vertices[0], vertices[-1])
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st_dags(), st.randoms(use_true_random=False))
+def test_graph_program_is_the_path_polynomial(g, rng):
+    program = graph_program(g)
+    point = {label: rng.randrange(1, DEFAULT_PRIME) for label in g.labels()}
+    reference = 0
+    for labels in _iter_path_labels(g):
+        term = 1
+        for label in labels:
+            term = term * point[label] % DEFAULT_PRIME
+        reference = (reference + term) % DEFAULT_PRIME
+    assert program.run(point) == reference
+
+    report = check_exact(program, g)
+    assert report.passed
+    assert_same_report(report, reference_check_exact(program, g))
+    assert check_fingerprint(program, g, trials=3).passed
+
+    # one addend of the root sum dropped: both oracles fail
+    root = program.root
+    if root >= 0 and not program.is_product[root]:
+        children = list(program.children)
+        children[root] = children[root][1:]
+        dropped = Program(program.labels, program.is_product, tuple(children), root)
+        report = check_exact(dropped, g)
+        assert not report.passed
+        assert_same_report(report, reference_check_exact(dropped, g))
+        assert not check_fingerprint(dropped, g, trials=3).passed
