@@ -6,9 +6,10 @@ table (comparison against the published reference columns), closed-form
 
 Exit codes: 0 success or verification pass, 1 verification or consistency
 failure, 2 usage or input error (any SrexprError, such as --trials 0 or a
---prime that is not a prime above 2(n-1)), 3 an unexpected internal error,
-with its traceback on stderr, 141 the reader closed the output pipe early
-(the status a shell reports for a filter that SIGPIPE ended).  All output is
+--prime, the least trial modulus, that is not a prime above 2(n-1)), 3 an
+unexpected internal error, with its traceback on stderr, 141 the reader
+closed the output pipe early (the status a shell reports for a filter that
+SIGPIPE ended).  All output is
 deterministic for fixed flags; JSON payloads carry "schema_version": 1.
 """
 
@@ -233,7 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=("exact", "fingerprint"), default="exact")
     p_verify.add_argument("--trials", type=int, default=10)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p_verify.add_argument(
+        "--prime",
+        type=int,
+        default=DEFAULT_PRIME,
+        help="the least trial modulus: trial 0 works modulo it, each later trial "
+        "modulo the next prime",
+    )
     p_verify.add_argument("--limit", type=int, default=10**6)
     p_verify.add_argument("--rounding", choices=("ceil", "floor"), default="ceil")
     add_output(p_verify)

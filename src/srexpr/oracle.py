@@ -14,9 +14,13 @@ Two independent oracles:
     `limit`, which the path and monomial counts check before any work.
   * `check_fingerprint` compares random evaluations of the expression against
     those of the graph's path polynomial, without ever expanding either.
-    Scales to any n; per-trial false-pass probability is at most deg/prime
-    with deg <= 2(n-1), and the modulus must be a prime above deg
-    (`is_prime`).
+    Scales to any n.  Each trial works modulo its own prime: the first is
+    the given `prime`, which must be a prime above deg <= 2(n-1)
+    (`is_prime`), and each later one the next prime above the last.  A
+    trial falsely passes with probability at most deg/p_i, so the check
+    does with at most the product of deg/p_i <= (deg/prime)**trials.  Up
+    to ten trials share one evaluation pass, modulo the product of their
+    primes (Chinese remainder theorem).
 
 The graph's path polynomial is a Program too, `graph_program(g)`, so each
 oracle reads the graph by a pass it makes over the expression.
@@ -31,7 +35,10 @@ inside products.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from itertools import count, islice
+from math import prod
+from operator import mul
+from typing import Iterator, Mapping
 
 from .errors import CapacityError, DomainError
 from .expr import (
@@ -46,6 +53,11 @@ from .expr import (
 from .graph import LabeledDigraph, path_count, path_length_range
 
 _MASK64 = (1 << 64) - 1
+
+# Trials that share one evaluation pass.  At SR(217) a pass of 8 to 10 lanes
+# costs the least per trial (4.6 ms, against 12.5 ms for one lane alone);
+# at 64 lanes the wider numbers make it dearer than separate passes.
+_LANES = 10
 
 # Miller-Rabin with the first thirteen prime bases is exact below this bound
 # (the least composite that passes all thirteen); the first twelve are exact
@@ -260,8 +272,11 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
     only it is decoded back into a Monomial.
 
     Raises CapacityError when either side would exceed `limit` monomials,
-    a pass as well as a failure.
+    a pass as well as a failure, and DomainError, before any work, when
+    `limit` is not an int or is a bool.
     """
+    if type(limit) is not int:
+        raise DomainError(f"the limit must be an int, got {limit!r}")
     from .zdd import diagrams  # only an exact check needs it; every run would compile it
 
     n_paths = path_count(g)
@@ -337,17 +352,30 @@ def _assignment_digest(names: list[str], values: list[int]) -> str:
 
 
 def check_fingerprint_parameters(trials: int, prime: int, degree: int) -> None:
-    """Raise DomainError unless `trials` is an int >= 1, not a bool, and
-    `prime` a prime greater than `degree`, the path polynomial's degree
-    (2(n-1) in SR(n)), below which the false-pass bound is meaningless."""
+    """Raise DomainError unless `trials` is an int >= 1 and `prime` an int,
+    neither a bool, and `prime` a prime greater than `degree`, the path
+    polynomial's degree (2(n-1) in SR(n)), below which the false-pass bound
+    is meaningless.  `prime` is the least trial modulus: every later trial
+    works modulo a larger prime, so each exceeds `degree` as well."""
     if type(trials) is not int:
         raise DomainError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if type(prime) is not int:
+        raise DomainError(f"the modulus must be an int, got {prime!r}")
     if not is_prime(prime):
         raise DomainError(f"the modulus {prime} is not prime")
     if prime <= degree:
         raise DomainError(f"the prime {prime} must exceed the path-polynomial degree {degree}")
+
+
+def _primes_from(p: int) -> Iterator[int]:
+    """`p`, then each next prime above it, found as it is asked for."""
+    while True:
+        yield p
+        p += 1
+        while not is_prime(p):
+            p += 1
 
 
 def check_fingerprint(
@@ -359,18 +387,26 @@ def check_fingerprint(
 ) -> VerificationReport:
     """Randomized identity test of `e` against the path-sum polynomial of `g`.
 
-    Compiles `e` and `g` (`graph_program`) once, then runs `trials` rounds.
-    Each round draws a fresh nonzero assignment for every label of `g` or
-    `e` (in sorted order, from a per-trial generator seeded off the master
-    seed) and compares the two tables' values (`dp_eval` for `g`'s).  The
-    transcript of every round is kept in the report detail, so identical
-    (seed, trials, prime) yield identical reports.  An edge outside `g` is
-    thus one more variable: like any other difference between the
-    polynomials it fails the test, unless every monomial that holds it
-    vanishes.
+    Trial i works modulo its own prime p_i: p_0 is `prime` and p_(i+1) the
+    least prime above p_i.  It draws a fresh nonzero assignment modulo p_i
+    for every label of `g` or `e` (in sorted order, from a per-trial
+    generator seeded off the master seed) and compares the values of the
+    two tables, `compile_program(e)` and `graph_program(g)`, modulo p_i.
+    Up to `_LANES` trials share one pass over each table: the Chinese
+    remainder theorem combines each label's values into one modulo the
+    product M of the batch's primes, both tables run once modulo M, and
+    trial i's value is the result modulo p_i.  Primes and draws are made a
+    batch at a time, so a check that fails early pays for no later batch.
+    The transcript of every trial is kept in the report detail, so identical
+    (seed, trials, prime) yield identical reports.  A pass is false with
+    probability at most the product of deg/p_i, so at most
+    (deg/prime)**trials.  An edge outside `g` is one more variable: like
+    any other difference between the polynomials it fails the test, unless
+    every monomial that holds it vanishes.
 
     Raises DomainError as `check_fingerprint_parameters` does, with the
-    longest path length of `g` as the degree, and for a seed not an int.
+    longest path length of `g` as the degree, for a seed not an int, and
+    when a trial's prime would lie past `is_prime`'s exact range.
     """
     if type(seed) is not int:
         raise DomainError(f"the seed must be an int, got {seed!r}")
@@ -382,23 +418,34 @@ def check_fingerprint(
     master = SplitMix64(seed)
     transcript: list[dict] = []
     witness = None
-    for trial in range(trials):
-        trial_seed = master.next_u64()
-        rng = SplitMix64(trial_seed)
-        values = [rng.field_element(prime) for _ in labels]
-        assignment = dict(zip(labels, values))
-        expr_value = program.run(assignment, prime)
-        graph_value = dp_eval(graph, assignment, prime)
-        row = {
-            "trial": trial,
-            "trial_seed": trial_seed,
-            "assignment_digest": _assignment_digest(names, values),
-            "expression_value": expr_value,
-            "graph_value": graph_value,
-        }
-        transcript.append(row)
-        if expr_value != graph_value:
-            witness = row
+    moduli = _primes_from(prime)
+    for start in range(0, trials, _LANES):
+        primes = list(islice(moduli, min(_LANES, trials - start)))
+        seeds = [master.next_u64() for _ in primes]
+        draws = []
+        for trial_seed, p_i in zip(seeds, primes):
+            rng = SplitMix64(trial_seed)
+            draws.append([rng.field_element(p_i) for _ in labels])
+        modulus = prod(primes)
+        # c_i is 1 modulo p_i and 0 modulo every other prime of the batch.
+        crt = [modulus // p_i * pow(modulus // p_i, -1, p_i) for p_i in primes]
+        combined = [sum(map(mul, column, crt)) % modulus for column in zip(*draws)]
+        assignment = dict(zip(labels, combined))
+        expr_value = program.run(assignment, modulus)
+        graph_value = dp_eval(graph, assignment, modulus)
+        for trial, trial_seed, p_i, values in zip(count(start), seeds, primes, draws):
+            row = {
+                "trial": trial,
+                "trial_seed": trial_seed,
+                "assignment_digest": _assignment_digest(names, values),
+                "expression_value": expr_value % p_i,
+                "graph_value": graph_value % p_i,
+            }
+            transcript.append(row)
+            if row["expression_value"] != row["graph_value"]:
+                witness = row
+                break
+        if witness is not None:
             break
     result = "pass" if witness is None else "fail"
     return VerificationReport(

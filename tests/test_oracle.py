@@ -44,8 +44,9 @@ from srexpr import (
     to_json,
     upper,
 )
+from srexpr.expr import Program, compile_program
 from srexpr.graph import _iter_path_labels
-from srexpr.oracle import check_fingerprint_parameters, is_prime
+from srexpr.oracle import check_fingerprint_parameters, graph_program, is_prime
 
 # Standard first outputs of the split-mix construction.
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -403,6 +404,28 @@ class TestCheckFingerprint:
         with pytest.raises(DomainError):
             check_fingerprint(generate(3), build_sr(3), trials=trials)
 
+    @pytest.mark.parametrize("prime", [2.5, 17.0, True, "17", None])
+    def test_modulus_must_be_an_int(self, prime, monkeypatch):
+        with pytest.raises(DomainError):
+            check_fingerprint(generate(3), build_sr(3), prime=prime)
+
+        def work(n):
+            raise AssertionError("a refused modulus reached the primality test")
+
+        monkeypatch.setattr("srexpr.oracle.is_prime", work)
+        with pytest.raises(DomainError):
+            check_fingerprint_parameters(3, prime, 4)
+
+    @pytest.mark.parametrize("limit", ["x", None, 2.5, True])
+    def test_exact_limit_must_be_an_int(self, limit, monkeypatch):
+        def work(*args):
+            raise AssertionError("a refused call did work")
+
+        monkeypatch.setattr("srexpr.oracle.path_count", work)
+        monkeypatch.setattr("srexpr.oracle.compile_program", work)
+        with pytest.raises(DomainError):
+            check_exact(generate(3), build_sr(3), limit=limit)
+
     @pytest.mark.parametrize("seed", [1.5, True, "7", None])
     def test_seed_must_be_an_int(self, seed):
         with pytest.raises(DomainError):
@@ -444,14 +467,28 @@ class TestCheckFingerprint:
     @pytest.mark.parametrize(
         "n, seed, trials, digest",
         [
-            (16, 9, 5, "b690983c7ec547dc463ee1cbfa855acc71d28f75c19b0cd00ffa6aed7b117094"),
-            (100, 42, 10, "d5fe1233ec7554faa0694c6e3dfabaffd1378ceae9504fafe01254820e4edb54"),
+            (16, 9, 5, "e58d3ecdfc1946b82064e7392048353cd1cddf9272fab43ec3ad45c7eb462ffa"),
+            (100, 42, 10, "8723c3c805607e1c9db2ce8ca28030ba0ff65ba46965dc182699bfc100dbfe7a"),
         ],
     )
     def test_transcripts_match_recorded_digests(self, n, seed, trials, digest):
-        # recorded with the recursive evaluator that compiled evaluation replaced
+        # trials 1 and up work modulo the primes above `prime`; trial 0 is pinned below
         report = check_fingerprint(generate(n), build_sr(n), trials=trials, seed=seed)
         payload = json.dumps(report.detail, sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n, seed, trials, digest",
+        [
+            (16, 9, 5, "7fb8872f9ce4c906802313c20785c34f49117697faa7dfbbbd985b7ae8c41c7f"),
+            (100, 42, 10, "33f575ff39e1578dfb604abd5c34b2b27eda54cc9be5afb3f7df633916deac90"),
+        ],
+    )
+    def test_trial_zero_matches_its_recorded_digest(self, n, seed, trials, digest):
+        # trial 0 works modulo the given prime alone, so no pass layout may
+        # change its row
+        report = check_fingerprint(generate(n), build_sr(n), trials=trials, seed=seed)
+        payload = json.dumps(report.detail["transcript"][0], sort_keys=True).encode("utf-8")
         assert hashlib.sha256(payload).hexdigest() == digest
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -467,10 +504,82 @@ class TestCheckFingerprint:
             assert report.passed, n
 
     def test_degree_bound_for_error_estimate(self):
-        # the per-trial error bound deg/prime uses deg = 2(n-1)
+        # each trial's error bound deg/p_i, p_i >= prime, uses deg = 2(n-1)
         for n in (2, 16, 128):
             assert path_length_range(build_sr(n))[1] == 2 * (n - 1)
         assert DEFAULT_PRIME > 2 * 127
+
+
+def primes_from(p, count):
+    """The first `count` primes from `p` on, by `is_prime`."""
+    found = []
+    while len(found) < count:
+        if is_prime(p):
+            found.append(p)
+        p += 1
+    return found
+
+
+class TestFingerprintLanes:
+    """Up to ten trials share one pass, each trial modulo its own prime."""
+
+    @pytest.mark.parametrize("n, seed, trials", [(16, 9, 5), (100, 42, 10), (12, 3, 25)])
+    def test_each_row_is_its_trial_run_alone(self, n, seed, trials):
+        e, g = generate(n), build_sr(n)
+        report = check_fingerprint(e, g, trials=trials, seed=seed)
+        rows = report.detail["transcript"]
+        assert report.passed and report.prime == DEFAULT_PRIME and len(rows) == trials
+        program, graph = compile_program(e), graph_program(g)
+        labels = sorted(set(g.labels()).union(program.labels))
+        master = SplitMix64(seed)
+        for trial, (row, p) in enumerate(zip(rows, primes_from(DEFAULT_PRIME, trials))):
+            assert row["trial"] == trial
+            assert row["trial_seed"] == master.next_u64()
+            rng = SplitMix64(row["trial_seed"])
+            a = {label: rng.field_element(p) for label in labels}
+            payload = ",".join(f"{label}={a[label]}" for label in labels).encode("utf-8")
+            assert row["assignment_digest"] == hashlib.sha256(payload).hexdigest()[:16]
+            assert row["expression_value"] == program.run(a, p)
+            assert row["graph_value"] == graph.run(a, p)
+
+    @staticmethod
+    def record_moduli(monkeypatch):
+        moduli = []
+        run = Program.run
+
+        def recording_run(self, assignment, prime=DEFAULT_PRIME):
+            moduli.append(prime)
+            return run(self, assignment, prime)
+
+        monkeypatch.setattr(Program, "run", recording_run)
+        return moduli
+
+    def test_a_pass_holds_at_most_ten_primes(self, monkeypatch):
+        e, g = generate(12), build_sr(12)
+        moduli = self.record_moduli(monkeypatch)
+        assert check_fingerprint(e, g, trials=25, seed=3).passed
+        p = primes_from(DEFAULT_PRIME, 25)
+        passes = [math.prod(p[:10]), math.prod(p[10:20]), math.prod(p[20:])]
+        assert moduli == [m for m in passes for _ in range(2)]  # the expression's, then the graph's
+
+    def test_a_failure_at_trial_zero_ends_the_check(self, monkeypatch):
+        e = reference_trap_base_variant(SubExprKey(upper(1), upper(3)))
+        g = induced_subgraph(build_sr(4), upper(1), upper(3))
+        moduli = self.record_moduli(monkeypatch)
+        report = check_fingerprint(e, g, trials=25, seed=7, prime=17)
+        assert report.witness["trial"] == 0
+        assert report.detail["transcript"] == [report.witness]
+        assert moduli == [math.prod(primes_from(17, 10))] * 2  # no later pass is run
+
+    def test_a_trial_prime_past_the_exact_range_is_refused(self):
+        # the largest prime is_prime certifies: the next lies past its bound
+        p = 3_317_044_064_679_887_385_961_981 - 1
+        while not is_prime(p):
+            p -= 1
+        e, g = generate(3), build_sr(3)
+        assert check_fingerprint(e, g, trials=1, prime=p).passed
+        with pytest.raises(DomainError, match="cannot certify"):
+            check_fingerprint(e, g, trials=2, prime=p)
 
 
 class TestIsPrime:
