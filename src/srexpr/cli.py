@@ -5,12 +5,12 @@ table (comparison against the published reference columns), closed-form
 (closed form vs recurrence vs generation), dot (graph export).
 
 Exit codes: 0 success or verification pass, 1 verification or consistency
-failure, 2 usage or input error (any SrexprError, such as --trials 0 or a
---prime, the least trial modulus, that is not a prime above 2(n-1)), 3 an
-unexpected internal error, with its traceback on stderr, 141 the reader
-closed the output pipe early (the status a shell reports for a filter that
-SIGPIPE ended).  All output is
-deterministic for fixed flags; JSON payloads carry "schema_version": 1.
+failure, 2 usage or input error (any SrexprError, such as --trials 0 or
+above 10000, or a --prime, the least trial modulus, that is not a prime
+above 2(n-1)), 3 an unexpected internal error, with its traceback on
+stderr, 141 the reader closed the output pipe early (the status a shell
+reports for a filter that SIGPIPE ended).  All output is deterministic for
+fixed flags; JSON payloads carry "schema_version": 1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import vda
 from .errors import CapacityError, SrexprError
 from .expr import DEFAULT_PRIME, _write_json, _write_text
 from .graph import Terminal, basic, build_sr, induced_subgraph, sr_path_count, to_dot
-from .oracle import check_exact, check_fingerprint, check_fingerprint_parameters
+from .oracle import MAX_TRIALS, check_exact, check_fingerprint, check_fingerprint_parameters
 
 SCHEMA_VERSION = 1
 
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check the generated expression against the graph")
     p_verify.add_argument("n", type=int)
     p_verify.add_argument("--mode", choices=("exact", "fingerprint"), default="exact")
-    p_verify.add_argument("--trials", type=int, default=10)
+    p_verify.add_argument("--trials", type=int, default=10, help=f"from 1 to {MAX_TRIALS}")
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument(
         "--prime",

@@ -3,15 +3,13 @@
 Two independent oracles:
 
   * `check_exact` compares the expansion's monomial multiset with the
-    graph's path set without enumerating either: both sides become one
-    zero-suppressed decision diagram (`zdd`), where equal families are one
-    node, and counts of monomials and of their degrees rule out duplicates
-    and repeated labels.  Only a failure enumerates both sides, to name its
-    witness.  There a monomial is one int: label i of the sorted labels adds
-    1 to the i-th bit field, and the fields are wide enough for the largest
-    degree, so no field carries into the next and equal ints mean equal
-    label multisets, repeated labels included.  Both sides stay bounded by
-    `limit`, which the path and monomial counts check before any work.
+    graph's path set without enumerating either.  One fold counts each
+    side's (monomials, total degree), on the graph (paths, total length);
+    when the pairs agree, both sides become one zero-suppressed decision
+    diagram (`zdd`), and the check passes when their roots are one node.
+    Only a failure enumerates both sides, as int codes, to name its
+    witness.  Both sides stay bounded by `limit`, which those counts check
+    before any work.
   * `check_fingerprint` compares random evaluations of the expression against
     those of the graph's path polynomial, without ever expanding either.
     Scales to any n.  Each trial works modulo its own prime: the first is
@@ -49,8 +47,9 @@ from .expr import (
     Program,
     _fold,
     compile_program,
+    evaluate,
 )
-from .graph import LabeledDigraph, path_count, path_length_range
+from .graph import LabeledDigraph, path_length_range
 
 _MASK64 = (1 << 64) - 1
 
@@ -58,6 +57,9 @@ _MASK64 = (1 << 64) - 1
 # costs the least per trial (4.6 ms, against 12.5 ms for one lane alone);
 # at 64 lanes the wider numbers make it dearer than separate passes.
 _LANES = 10
+
+# The most trials a fingerprint check runs: each keeps a row of its transcript.
+MAX_TRIALS = 10_000
 
 # Miller-Rabin with the first thirteen prime bases is exact below this bound
 # (the least composite that passes all thirteen); the first twelve are exact
@@ -237,55 +239,12 @@ def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[i
     return _fold(program, lambda label: [0 if label is None else code[label]], node)
 
 
-def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> VerificationReport:
-    """Pass iff the expansion of `e` equals the path-monomial multiset of `g`
-    and contains no duplicate monomials.
-
-    Decided without enumerating either side, by `zdd.diagrams`: one
-    zero-suppressed decision diagram holds the expression's expansion and
-    the graph's paths as families of label sets.  A label's variable is its
-    edge's (topological position of the tail, of the head); labels outside
-    the graph follow, in label order.  Equal families are one node, so the
-    check passes when
-      * the two roots are the same node, and
-      * the expansion's (monomials, total degree), counted with
-        multiplicity by one fold over the table, equals the diagram's
-        (cardinality, total set size).
-    That rule is sound.  A diagram union merges duplicates and a join
-    collapses x * x to x, so the expression's family is the set of the
-    label sets of its monomials: a duplicate monomial, or two with one
-    label set, lower the cardinality below the monomial count, and a
-    repeated label lowers the total size below the total degree.  When both
-    pairs are equal, the expansion is a set of squarefree monomials, and
-    that set is its family, the path family.
-
-    Only a failure enumerates both sides in full, to name its witness, by
-    one pass over each table: the expression's and `graph_program(g)`,
-    which the diagram folds too and which never looks at `e`.  A monomial
-    is one int: over the sorted union of both sides' labels, label i adds 1
-    to the i-th field of `width` bits, where `width` is the bit length of
-    the largest degree in the expansion (at least 1, for the graph's
-    squarefree paths).  No field can carry into the next, so equal codes
-    mean equal multisets of labels, repeated labels included; a bitmask
-    would merge b1 with b1*b1.  The witness is the least monomial, in
-    Monomial order, among the duplicates or else the one-sided surplus, and
-    only it is decoded back into a Monomial.
-
-    Raises CapacityError when either side would exceed `limit` monomials,
-    a pass as well as a failure, and DomainError, before any work, when
-    `limit` is not an int or is a bool.
-    """
-    if type(limit) is not int:
-        raise DomainError(f"the limit must be an int, got {limit!r}")
-    from .zdd import diagrams  # only an exact check needs it; every run would compile it
-
-    n_paths = path_count(g)
-    if n_paths > limit:
-        raise CapacityError.exceeded(n_paths, "paths", limit, "use the fingerprint check")
-    program = compile_program(e)
+def _shape(program: Program) -> tuple[int, int]:
+    """(monomials, total degree) of the expansion of `program`, with
+    multiplicity, by one fold; on `graph_program(g)`, (paths, total length)."""
     is_product = program.is_product
 
-    def shape(k, pairs):  # (monomials, total degree) with multiplicity
+    def node(k, pairs):
         if not is_product[k]:
             return sum([m for m, _ in pairs]), sum([d for _, d in pairs])
         m, d = 1, 0
@@ -293,18 +252,62 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
             m, d = m * m2, d * m2 + d2 * m
         return m, d
 
-    n_monomials, total_degree = _fold(program, lambda label: (1, 0 if label is None else 1), shape)
+    return _fold(program, lambda label: (1, 0 if label is None else 1), node)
+
+
+def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> VerificationReport:
+    """Pass iff the expansion of `e` equals the path-monomial multiset of `g`
+    and contains no duplicate monomials.
+
+    Decided without enumerating either side.  `_shape` folds the
+    expression's table to (monomials, total degree) and `graph_program(g)`,
+    which never looks at `e`, to (paths, total length).  Only when the
+    pairs are equal does `zdd.diagrams` put the expansion and the paths in
+    one zero-suppressed decision diagram, as families of label sets (a
+    label's variable is its edge's (topological position of the tail, of
+    the head); labels outside the graph follow, in label order), and the
+    check passes when the two roots are one node.  That rule is sound: a
+    union merges duplicates and a join collapses x * x to x, so the
+    expression's family is the set of its monomials' label sets.  When that
+    is the family of the graph's n distinct paths and the expansion has n
+    monomials, each has a label set of its own, so none is a duplicate;
+    when the total degree is also the total length, none repeats a label.
+
+    Only a failure enumerates both sides in full, to name its witness, by
+    one pass over each table.  A monomial is one int: over the sorted union
+    of both sides' labels, label i adds 1 to the i-th field of `width` bits,
+    where `width` is the bit length of the largest degree in the expansion
+    (at least 1, for the graph's squarefree paths).  No field can carry
+    into the next, so equal codes mean equal multisets of labels, repeated
+    labels included; a bitmask would merge b1 with b1*b1.  The witness is
+    the least monomial, in Monomial order, among the duplicates or else the
+    one-sided surplus, and only it is decoded back into a Monomial.
+
+    Raises CapacityError when either side would exceed `limit` monomials,
+    a pass as well as a failure, the graph's paths before `e` is lowered,
+    and DomainError, before any work, when `limit` is not an int or is a
+    bool.
+    """
+    if type(limit) is not int:
+        raise DomainError(f"the limit must be an int, got {limit!r}")
+    from .zdd import diagrams  # only an exact check needs it; every run would compile it
+
+    graph = graph_program(g)
+    n_paths, total_length = _shape(graph)
+    if n_paths > limit:
+        raise CapacityError.exceeded(n_paths, "paths", limit, "use the fingerprint check")
+    program = compile_program(e)
+    n_monomials, total_degree = _shape(program)
     if n_monomials > limit:
         raise CapacityError.exceeded(n_monomials, "monomials", limit)
     detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
-    graph = graph_program(g)
-    table, expression_root, graph_root = diagrams(program, graph, g)
-    family = (table.count[graph_root], table.size[graph_root])
-    if expression_root == graph_root and (n_monomials, total_degree) == family:
-        return VerificationReport("exact", "pass", detail=detail)
+    if (n_monomials, total_degree) == (n_paths, total_length):
+        expression_root, graph_root = diagrams(program, graph, g)
+        if expression_root == graph_root:
+            return VerificationReport("exact", "pass", detail=detail)
 
     def degree(k, degrees):
-        return sum(degrees) if is_product[k] else max(degrees, default=0)
+        return sum(degrees) if program.is_product[k] else max(degrees, default=0)
 
     width = max(_fold(program, lambda label: 0 if label is None else 1, degree), 1).bit_length()
     labels = sorted(set(g.labels()).union(program.labels))
@@ -352,15 +355,18 @@ def _assignment_digest(names: list[str], values: list[int]) -> str:
 
 
 def check_fingerprint_parameters(trials: int, prime: int, degree: int) -> None:
-    """Raise DomainError unless `trials` is an int >= 1 and `prime` an int,
-    neither a bool, and `prime` a prime greater than `degree`, the path
-    polynomial's degree (2(n-1) in SR(n)), below which the false-pass bound
-    is meaningless.  `prime` is the least trial modulus: every later trial
-    works modulo a larger prime, so each exceeds `degree` as well."""
+    """Raise DomainError unless `trials` is an int from 1 to `MAX_TRIALS` and
+    `prime` an int, neither a bool, and `prime` a prime greater than
+    `degree`, the path polynomial's degree (2(n-1) in SR(n)), below which
+    the false-pass bound is meaningless.  `prime` is the least trial
+    modulus: every later trial works modulo a larger prime, so each exceeds
+    `degree` as well."""
     if type(trials) is not int:
         raise DomainError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise DomainError(f"trials must be <= {MAX_TRIALS}, got {trials}")
     if type(prime) is not int:
         raise DomainError(f"the modulus must be an int, got {prime!r}")
     if not is_prime(prime):
@@ -431,7 +437,7 @@ def check_fingerprint(
         crt = [modulus // p_i * pow(modulus // p_i, -1, p_i) for p_i in primes]
         combined = [sum(map(mul, column, crt)) % modulus for column in zip(*draws)]
         assignment = dict(zip(labels, combined))
-        expr_value = program.run(assignment, modulus)
+        expr_value = evaluate(program, assignment, modulus)
         graph_value = dp_eval(graph, assignment, modulus)
         for trial, trial_seed, p_i, values in zip(count(start), seeds, primes, draws):
             row = {

@@ -7,8 +7,7 @@ family {{}} that holds only the empty set.  Any other node k is a triple
 added to each set of hi.  Variables increase from a node to its children, a
 node never has hi = 0 (zero suppression), and `node` makes one node per
 triple (the unique table), so a family is exactly one node: two families
-are equal when their nodes are.  Each node records its family's cardinality
-and total size (the sum of its sets' sizes) when it is made.
+are equal when their nodes are.  That equality is all the table decides.
 
 `union` and `join` ({s | t : s in f, t in g}) are memoized, and run on an
 explicit stack rather than by recursion, so a diagram as deep as it has
@@ -42,17 +41,15 @@ _POP = -1
 class ZDD:
     """One unique table of diagram nodes, with the memos of its operations.
 
-    `var`, `lo`, `hi`, `count` and `size` are indexed by node: the two
-    terminals have variable `inf`, so every variable precedes them."""
+    `var`, `lo` and `hi`, indexed by node, are all that a node holds: the
+    two terminals have variable `inf`, so every variable precedes them."""
 
-    __slots__ = ("var", "lo", "hi", "count", "size", "_unique", "_memos")
+    __slots__ = ("var", "lo", "hi", "_unique", "_memos")
 
     def __init__(self) -> None:
         self.var: list[float] = [inf, inf]
         self.lo = [EMPTY, UNIT]
         self.hi = [EMPTY, UNIT]
-        self.count = [0, 1]
-        self.size = [0, 0]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._memos: tuple[dict[tuple[int, int], int], ...] = ({}, {})  # union, join
 
@@ -68,8 +65,6 @@ class ZDD:
             self.var.append(var)
             self.lo.append(lo)
             self.hi.append(hi)
-            self.count.append(self.count[lo] + self.count[hi])
-            self.size.append(self.size[lo] + self.size[hi] + self.count[hi])
         return k
 
     def union(self, f: int, g: int) -> int:
@@ -141,11 +136,11 @@ class ZDD:
         return results.pop()
 
 
-def diagrams(program: Program, graph: Program, g: LabeledDigraph) -> tuple[ZDD, int, int]:
-    """(table, expression root, graph root): the family of the label sets of
-    the monomials of `program`'s expansion, and that of `graph`, the table
+def diagrams(program: Program, graph: Program, g: LabeledDigraph) -> tuple[int, ...]:
+    """(expression root, graph root): the family of the label sets of the
+    monomials of `program`'s expansion, and that of `graph`, the table
     `oracle.graph_program(g)`, whose monomials are the edge sets of `g`'s
-    source-to-sink paths, in one table.
+    source-to-sink paths, as nodes of one table.
 
     A label's variable is its edge's (topological position of the tail, of
     the head), then the label; labels outside the graph follow, in label
@@ -154,8 +149,7 @@ def diagrams(program: Program, graph: Program, g: LabeledDigraph) -> tuple[ZDD, 
     graph's table each union and join makes one node, as an edge's variable
     precedes every variable below its head.
     """
-    order = g.topological_order
-    position = {v: i for i, v in enumerate(order)}
+    position = {v: i for i, v in enumerate(g.topological_order)}
     edges = sorted(g.edges, key=lambda edge: (position[edge[0]], position[edge[1]], edge[2]))
     var = {label: i for i, (_, _, label) in enumerate(edges)}
     for label in sorted(set(program.labels).difference(var)):
@@ -174,5 +168,4 @@ def diagrams(program: Program, graph: Program, g: LabeledDigraph) -> tuple[ZDD, 
             acc = apply(acc, family)
         return acc
 
-    roots = [_fold(p, leaf, partial(node, p.is_product)) for p in (program, graph)]
-    return table, roots[0], roots[1]
+    return tuple(_fold(p, leaf, partial(node, p.is_product)) for p in (program, graph))

@@ -203,6 +203,7 @@ class TestVerify:
             (("--prime", "4"), "not prime"),
             (("--prime", "13"), "degree 14"),  # prime, but not above 2(n-1) = 14
             (("--prime", "3317044064679887385961981"), "exact only below"),
+            (("--trials", "10000000000"), "trials must be <= 10000"),
         ],
     )
     def test_bad_fingerprint_parameters_exit_2(self, capsys, flags, message):

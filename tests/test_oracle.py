@@ -46,7 +46,7 @@ from srexpr import (
 )
 from srexpr.expr import Program, compile_program
 from srexpr.graph import _iter_path_labels
-from srexpr.oracle import check_fingerprint_parameters, graph_program, is_prime
+from srexpr.oracle import MAX_TRIALS, check_fingerprint_parameters, graph_program, is_prime
 
 # Standard first outputs of the split-mix construction.
 SPLITMIX_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -345,6 +345,58 @@ class TestExactDecision:
         assert report.detail == {"expression_monomials": 413403, "graph_paths": 413403}
 
 
+def sr6_sum_subexpressions():
+    """(expression, subgraph) for every terminal pair of SR(6) whose
+    expression is a sum."""
+    g = build_sr(6)
+    for src in g.vertices:
+        for dst in g.vertices:
+            try:
+                classify(src, dst)
+            except OrderingError:
+                continue
+            e = expression(6, SubExprKey(src, dst))
+            if isinstance(e, Sum):
+                yield e, induced_subgraph(g, src, dst)
+
+
+class TestExactCountsFirst:
+    """The diagram is built only when the expansion's (monomials, total
+    degree) equals the graph's (paths, total length)."""
+
+    def test_a_dropped_or_duplicated_addend_builds_no_diagram(self, monkeypatch):
+        def diagrams(*args):
+            raise AssertionError("a failure whose counts differ built a diagram")
+
+        monkeypatch.setattr("srexpr.zdd.diagrams", diagrams)
+        checked = 0
+        for e, sub in sr6_sum_subexpressions():
+            addends = list(e.children)
+            for mutant in (make_sum(addends[1:]), make_sum(addends + addends[-1:])):
+                report = check_exact(mutant, sub)
+                assert not report.passed
+                assert_same_report(report, reference_check_exact(mutant, sub))
+                checked += 1
+        assert checked > 0
+
+    def test_a_relabelled_literal_reaches_the_diagram(self, monkeypatch):
+        from srexpr.zdd import diagrams as build
+
+        calls = []
+
+        def diagrams(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr("srexpr.zdd.diagrams", diagrams)
+        e, sub = next(sr6_sum_subexpressions())
+        mutant = relabel_first_literal(e, sub.labels()[-1])
+        assert mutant != e
+        report = check_exact(mutant, sub)
+        assert len(calls) == 1 and not report.passed
+        assert_same_report(report, reference_check_exact(mutant, sub))
+
+
 class TestEmptyNodes:
     """Hand-built empty sums and products get a verdict from both oracles."""
 
@@ -404,6 +456,16 @@ class TestCheckFingerprint:
         with pytest.raises(DomainError):
             check_fingerprint(generate(3), build_sr(3), trials=trials)
 
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**10])
+    def test_trial_count_is_bounded(self, trials, monkeypatch):
+        def work(*args):
+            raise AssertionError("a refused trial count did work")
+
+        monkeypatch.setattr("srexpr.oracle.compile_program", work)
+        with pytest.raises(DomainError, match=f"trials must be <= {MAX_TRIALS}"):
+            check_fingerprint(generate(3), build_sr(3), trials=trials)
+        check_fingerprint_parameters(MAX_TRIALS, DEFAULT_PRIME, 4)  # the bound itself is taken
+
     @pytest.mark.parametrize("prime", [2.5, 17.0, True, "17", None])
     def test_modulus_must_be_an_int(self, prime, monkeypatch):
         with pytest.raises(DomainError):
@@ -421,7 +483,7 @@ class TestCheckFingerprint:
         def work(*args):
             raise AssertionError("a refused call did work")
 
-        monkeypatch.setattr("srexpr.oracle.path_count", work)
+        monkeypatch.setattr("srexpr.oracle.graph_program", work)
         monkeypatch.setattr("srexpr.oracle.compile_program", work)
         with pytest.raises(DomainError):
             check_exact(generate(3), build_sr(3), limit=limit)

@@ -32,8 +32,9 @@ from srexpr.graph import (  # noqa: E402
     TerminalKind,
     _iter_path_labels,
     classify,
+    path_count,
 )
-from srexpr.oracle import graph_program  # noqa: E402
+from srexpr.oracle import _shape, graph_program  # noqa: E402
 from srexpr.vda import SubExprKey, count_literals, expression  # noqa: E402
 from test_oracle import assert_same_report, reference_check_exact  # noqa: E402
 
@@ -217,6 +218,8 @@ def test_graph_program_is_the_path_polynomial(g, rng):
             term = term * point[label] % DEFAULT_PRIME
         reference = (reference + term) % DEFAULT_PRIME
     assert program.run(point) == reference
+    # the fold that counts an expansion counts the paths and their edges
+    assert _shape(program) == (path_count(g), sum(map(len, _iter_path_labels(g))))
 
     report = check_exact(program, g)
     assert report.passed
