@@ -190,10 +190,24 @@ def literal_count(e: Expr | Program) -> int:
 
 def expansion_size(e: Expr | Program) -> int:
     """Number of monomials (with multiplicity) in the full expansion."""
-    program = compile_program(e)
+    return _shape(compile_program(e))[0]
+
+
+def _shape(program: Program) -> tuple[int, int]:
+    """(monomials, total degree) of the expansion of `program`, with
+    multiplicity, by one fold; on `oracle.graph_program(g)`, (paths, total
+    length)."""
     is_product = program.is_product
-    node = lambda k, sizes: prod(sizes) if is_product[k] else sum(sizes)
-    return _fold(program, lambda label: 1, node)
+
+    def node(k, pairs):
+        if not is_product[k]:
+            return sum([m for m, _ in pairs]), sum([d for _, d in pairs])
+        m, d = 1, 0
+        for m2, d2 in pairs:
+            m, d = m * m2, d * m2 + d2 * m
+        return m, d
+
+    return _fold(program, lambda label: (1, 0 if label is None else 1), node)
 
 
 def iter_expansion(e: Expr | Program) -> Iterator[Monomial]:

@@ -7,18 +7,23 @@ Two independent oracles:
     side's (monomials, total degree), on the graph (paths, total length);
     when the pairs agree, both sides become one zero-suppressed decision
     diagram (`zdd`), and the check passes when their roots are one node.
-    Only a failure enumerates both sides, as int codes, to name its
-    witness.  Both sides stay bounded by `limit`, which those counts check
-    before any work.
+    Only a failure enumerates, as int codes, to name its witness: the
+    expression first, and the graph only when the expression holds no
+    duplicate.  Both sides stay bounded by `limit`, which those counts
+    check before any work.
   * `check_fingerprint` compares random evaluations of the expression against
     those of the graph's path polynomial, without ever expanding either.
     Scales to any n.  Each trial works modulo its own prime: the first is
     the given `prime`, which must be a prime above deg <= 2(n-1)
     (`is_prime`), and each later one the next prime above the last.  A
-    trial falsely passes with probability at most deg/p_i, so the check
-    does with at most the product of deg/p_i <= (deg/prime)**trials.  Up
-    to ten trials share one evaluation pass, modulo the product of their
-    primes (Chinese remainder theorem).
+    trial draws its values from the p_i - 1 nonzero residues, so by
+    Schwartz-Zippel it passes a wrong expression E with probability at
+    most deg(E - G)/(p_i - 1), G being the path polynomial and deg(E - G)
+    at most the larger of the two degrees, and the check does with at most
+    the product of these bounds.  That needs E - G nonzero modulo p_i: a
+    difference whose coefficients are all multiples of p_i passes the
+    trial.  Up to ten trials share one evaluation pass, modulo the product
+    of their primes (Chinese remainder theorem).
 
 The graph's path polynomial is a Program too, `graph_program(g)`, so each
 oracle reads the graph by a pass it makes over the expression.
@@ -46,6 +51,7 @@ from .expr import (
     Monomial,
     Program,
     _fold,
+    _shape,
     compile_program,
     evaluate,
 )
@@ -126,28 +132,33 @@ def graph_program(g: LabeledDigraph | Program) -> Program:
     backward pass over topological order: the sink is the unit, an edge into
     it is its literal, and any other vertex v is the sum, over its out-edges
     (v, w, l), of the product (l, w's slot), or that term alone when it is
-    the only one.  Every slot is distinct, so none is interned."""
+    the only one.  Every slot is distinct, so none is interned.
+
+    The table's labels are in the order the pass meets them, so reversed
+    they list every edge before each edge that leaves its head: the
+    variable order `zdd.diagrams` reads."""
     if isinstance(g, Program):
         return g
-    labels = g.labels()
-    leaf = {label: -2 - j for j, label in enumerate(labels)}
+    labels: list[EdgeLabel] = []
     is_product = bytearray()
     children: list[tuple[int, ...]] = []
     slot = {g.sink: -1}
     for v in reversed(g.topological_order[:-1]):  # the sink comes last
         terms = []
         for head, label in g.out_edges(v):
+            labels.append(label)
+            leaf = -1 - len(labels)
             if head == g.sink:
-                terms.append(leaf[label])
+                terms.append(leaf)
             else:
                 terms.append(len(children))
-                children.append((leaf[label], slot[head]))
+                children.append((leaf, slot[head]))
                 is_product.append(1)
         if len(terms) > 1:
             children.append(tuple(terms))
             is_product.append(0)
         slot[v] = terms[0] if len(terms) == 1 else len(children) - 1
-    return Program(labels, bytes(is_product), tuple(children), slot[g.source])
+    return Program(tuple(labels), bytes(is_product), tuple(children), slot[g.source])
 
 
 def dp_eval(
@@ -239,22 +250,6 @@ def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[i
     return _fold(program, lambda label: [0 if label is None else code[label]], node)
 
 
-def _shape(program: Program) -> tuple[int, int]:
-    """(monomials, total degree) of the expansion of `program`, with
-    multiplicity, by one fold; on `graph_program(g)`, (paths, total length)."""
-    is_product = program.is_product
-
-    def node(k, pairs):
-        if not is_product[k]:
-            return sum([m for m, _ in pairs]), sum([d for _, d in pairs])
-        m, d = 1, 0
-        for m2, d2 in pairs:
-            m, d = m * m2, d * m2 + d2 * m
-        return m, d
-
-    return _fold(program, lambda label: (1, 0 if label is None else 1), node)
-
-
 def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> VerificationReport:
     """Pass iff the expansion of `e` equals the path-monomial multiset of `g`
     and contains no duplicate monomials.
@@ -263,21 +258,24 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
     expression's table to (monomials, total degree) and `graph_program(g)`,
     which never looks at `e`, to (paths, total length).  Only when the
     pairs are equal does `zdd.diagrams` put the expansion and the paths in
-    one zero-suppressed decision diagram, as families of label sets (a
-    label's variable is its edge's (topological position of the tail, of
-    the head); labels outside the graph follow, in label order), and the
-    check passes when the two roots are one node.  That rule is sound: a
-    union merges duplicates and a join collapses x * x to x, so the
-    expression's family is the set of its monomials' label sets.  When that
-    is the family of the graph's n distinct paths and the expansion has n
-    monomials, each has a label set of its own, so none is a duplicate;
-    when the total degree is also the total length, none repeats a label.
+    one zero-suppressed decision diagram, as families of label sets (the
+    variable order is the graph table's labels reversed, every edge before
+    the edges that leave its head; labels outside the graph follow, in
+    label order), and the check passes when the two roots are one node.
+    That rule is sound: a union merges duplicates and a join collapses
+    x * x to x, so the expression's family is the set of its monomials'
+    label sets.  When that is the family of the graph's n distinct paths
+    and the expansion has n monomials, each has a label set of its own, so
+    none is a duplicate; when the total degree is also the total length,
+    none repeats a label.
 
-    Only a failure enumerates both sides in full, to name its witness, by
-    one pass over each table.  A monomial is one int: over the sorted union
-    of both sides' labels, label i adds 1 to the i-th field of `width` bits,
-    where `width` is the bit length of the largest degree in the expansion
-    (at least 1, for the graph's squarefree paths).  No field can carry
+    Only a failure enumerates, to name its witness, by one pass over each
+    table: the expression's, and the graph's only when the expansion holds
+    no duplicate, which needs no graph side.  A monomial is one int: over
+    the sorted union of both sides' labels, label i adds 1 to the i-th
+    field of `width` bits, where `width` is the bit length of the largest
+    degree in the expansion (at least 1, for the graph's squarefree
+    paths).  No field can carry
     into the next, so equal codes mean equal multisets of labels, repeated
     labels included; a bitmask would merge b1 with b1*b1.  The witness is
     the least monomial, in Monomial order, among the duplicates or else the
@@ -302,7 +300,7 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
         raise CapacityError.exceeded(n_monomials, "monomials", limit)
     detail = {"expression_monomials": n_monomials, "graph_paths": n_paths}
     if (n_monomials, total_degree) == (n_paths, total_length):
-        expression_root, graph_root = diagrams(program, graph, g)
+        expression_root, graph_root = diagrams(program, graph)
         if expression_root == graph_root:
             return VerificationReport("exact", "pass", detail=detail)
 
@@ -310,21 +308,21 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
         return sum(degrees) if program.is_product[k] else max(degrees, default=0)
 
     width = max(_fold(program, lambda label: 0 if label is None else 1, degree), 1).bit_length()
-    labels = sorted(set(g.labels()).union(program.labels))
+    labels = sorted(set(graph.labels).union(program.labels))
     code = {label: 1 << (width * i) for i, label in enumerate(labels)}
     expanded = _expression_codes(program, code)
     distinct = set(expanded)
-    paths = set(_expression_codes(graph, code))  # distinct paths have distinct edge sets
     if len(distinct) < len(expanded):
         side = "duplicate-in-expression"
         surplus = [m for m, count in Counter(expanded).items() if count > 1]
-    elif distinct != paths:
+    else:
+        paths = set(_expression_codes(graph, code))  # distinct paths have distinct edge sets
+        if distinct == paths:  # not reached while the diagram is right: enumeration has the last word
+            return VerificationReport("exact", "pass", detail=detail)
         # Neither side repeats a code, so a side's surplus is a set difference.
         side, surplus = "expression-only", distinct - paths
         if not surplus:
             side, surplus = "graph-only", paths - distinct
-    else:  # not reached while the diagram is right: enumeration has the last word
-        return VerificationReport("exact", "pass", detail=detail)
     witness = {"monomial": str(_least(list(surplus), labels, width)), "side": side}
     return VerificationReport("exact", "fail", witness=witness, detail=detail)
 
@@ -404,11 +402,15 @@ def check_fingerprint(
     trial i's value is the result modulo p_i.  Primes and draws are made a
     batch at a time, so a check that fails early pays for no later batch.
     The transcript of every trial is kept in the report detail, so identical
-    (seed, trials, prime) yield identical reports.  A pass is false with
-    probability at most the product of deg/p_i, so at most
-    (deg/prime)**trials.  An edge outside `g` is one more variable: like
-    any other difference between the polynomials it fails the test, unless
-    every monomial that holds it vanishes.
+    (seed, trials, prime) yield identical reports.  When E - G, the
+    difference of the two polynomials, is nonzero modulo every p_i, a pass
+    is false with probability at most the product of deg(E - G)/(p_i - 1)
+    (Schwartz-Zippel, over the p_i - 1 nonzero residues), where deg(E - G)
+    is at most the larger of the two degrees; a difference whose
+    coefficients are all multiples of p_i passes trial i.  An edge outside
+    `g` is one more variable: like any other difference between the
+    polynomials it fails the test, unless every monomial that holds it
+    vanishes.
 
     Raises DomainError as `check_fingerprint_parameters` does, with the
     longest path length of `g` as the degree, for a seed not an int, and
@@ -419,7 +421,7 @@ def check_fingerprint(
     check_fingerprint_parameters(trials, prime, path_length_range(g)[1])
     program = compile_program(e)
     graph = graph_program(g)
-    labels = sorted(set(g.labels()).union(program.labels))
+    labels = sorted(set(graph.labels).union(program.labels))
     names = [f"{label}=" for label in labels]
     master = SplitMix64(seed)
     transcript: list[dict] = []

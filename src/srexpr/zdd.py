@@ -15,9 +15,9 @@ variables costs no Python frames.
 
 `diagrams` folds two slot tables into one diagram table, as families of
 label sets: an expression's, and its graph's path polynomial
-(`oracle.graph_program`), by the same steps.  It is the exact oracle's
-decision procedure, and only `oracle.check_exact` imports this module, when
-it runs.
+(`oracle.graph_program`), by the same steps, in the variable order the
+graph's table lists.  It is the exact oracle's decision procedure, and
+only `oracle.check_exact` imports this module, when it runs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from functools import partial
 from math import inf
 
 from .expr import Program, _fold
-from .graph import LabeledDigraph
 
 EMPTY, UNIT = 0, 1
 
@@ -136,22 +135,21 @@ class ZDD:
         return results.pop()
 
 
-def diagrams(program: Program, graph: Program, g: LabeledDigraph) -> tuple[int, ...]:
+def diagrams(program: Program, graph: Program) -> tuple[int, ...]:
     """(expression root, graph root): the family of the label sets of the
     monomials of `program`'s expansion, and that of `graph`, the table
     `oracle.graph_program(g)`, whose monomials are the edge sets of `g`'s
     source-to-sink paths, as nodes of one table.
 
-    A label's variable is its edge's (topological position of the tail, of
-    the head), then the label; labels outside the graph follow, in label
-    order.  Both are a `_fold` with the same steps: a literal is a
-    singleton, the unit {{}}, a sum a union and a product a join.  On the
-    graph's table each union and join makes one node, as an edge's variable
-    precedes every variable below its head.
+    The variable order is `graph`'s labels reversed, which lists every edge
+    before each edge that leaves its head (on a square rhomboid, the order
+    of (topological position of the tail, of the head, label)); labels
+    outside the graph follow, in label order.  Both are a `_fold` with the
+    same steps: a literal is a singleton, the unit {{}}, a sum a union and a
+    product a join.  On the graph's table each union and join makes one
+    node, as an edge's variable precedes every variable below its head.
     """
-    position = {v: i for i, v in enumerate(g.topological_order)}
-    edges = sorted(g.edges, key=lambda edge: (position[edge[0]], position[edge[1]], edge[2]))
-    var = {label: i for i, (_, _, label) in enumerate(edges)}
+    var = {label: i for i, label in enumerate(reversed(graph.labels))}
     for label in sorted(set(program.labels).difference(var)):
         var[label] = len(var)
     table = ZDD()

@@ -344,6 +344,24 @@ class TestExactDecision:
         assert report.passed
         assert report.detail == {"expression_monomials": 413403, "graph_paths": 413403}
 
+    def test_the_diagram_orders_square_rhomboid_edges_by_position(self):
+        # On a square rhomboid the reversed labels of the graph's table are
+        # its edges sorted by (topological position of the tail, of the
+        # head, label), so the diagram's node counts there cannot drift.
+        g9 = build_sr(9)
+        graphs = [build_sr(n) for n in range(1, 31)]
+        for src in g9.vertices:
+            for dst in g9.vertices:
+                try:
+                    classify(src, dst)
+                except OrderingError:
+                    continue
+                graphs.append(induced_subgraph(g9, src, dst))
+        for g in graphs:
+            position = {v: i for i, v in enumerate(g.topological_order)}
+            edges = sorted(g.edges, key=lambda edge: (position[edge[0]], position[edge[1]], edge[2]))
+            assert list(reversed(graph_program(g).labels)) == [label for _, _, label in edges], g
+
 
 def sr6_sum_subexpressions():
     """(expression, subgraph) for every terminal pair of SR(6) whose

@@ -220,6 +220,13 @@ def test_graph_program_is_the_path_polynomial(g, rng):
     assert program.run(point) == reference
     # the fold that counts an expansion counts the paths and their edges
     assert _shape(program) == (path_count(g), sum(map(len, _iter_path_labels(g))))
+    # reversed, the labels are the decision diagram's variable order: each
+    # edge before every edge that leaves its head
+    order = list(reversed(program.labels))
+    assert sorted(order) == sorted(g.labels())
+    position = {label: i for i, label in enumerate(order)}
+    for _, head, label in g.edges:
+        assert all(position[label] < position[below] for _, below in g.out_edges(head))
 
     report = check_exact(program, g)
     assert report.passed
@@ -236,3 +243,4 @@ def test_graph_program_is_the_path_polynomial(g, rng):
         assert not report.passed
         assert_same_report(report, reference_check_exact(dropped, g))
         assert not check_fingerprint(dropped, g, trials=3).passed
+

@@ -473,6 +473,55 @@ class TestCountLiterals:
         assert info.currsize <= info.maxsize
 
 
+class TestMidpointIsShortest:
+    """The paper's question, for one-vertex splits: no basic split vertex
+    gives fewer literals than the midpoint the generator takes."""
+
+    MAX_SPAN = 128
+
+    def test_every_shape_up_to_span_128(self):
+        # The least count of a shape (source row, sink row, span) over every
+        # sequence of splits: sizes 1 and 2 are their base expressions, and a
+        # larger shape takes its best split at a basic vertex strictly inside
+        # the span whose six pieces are all non-empty (smaller spans, so
+        # already in `least`), plus the bridging literals c and a.
+        n = self.MAX_SPAN + 2
+        least: dict[tuple, int] = {}
+
+        def piece(src, dst):
+            return least.get((src.kind, dst.kind, dst.index - src.index))
+
+        checked = 0
+        for span in range(self.MAX_SPAN + 1):
+            for src_kind in TerminalKind:
+                for dst_kind in TerminalKind:
+                    src, dst = Terminal(src_kind, 1), Terminal(dst_kind, 1 + span)
+                    try:
+                        size = classify(src, dst).size
+                    except OrderingError:
+                        continue
+                    key = SubExprKey(src, dst)
+                    if size <= 2:
+                        least[src_kind, dst_kind, span] = literal_count(base_expression(key))
+                        continue
+                    counts = []
+                    for i in range(src.index + 1, dst.index):
+                        pieces = [
+                            piece(src, basic(i)),
+                            piece(basic(i), dst),
+                            piece(src, upper(i - 1)),
+                            piece(upper(i), dst),
+                            piece(src, lower(i - 1)),
+                            piece(lower(i), dst),
+                        ]
+                        if None not in pieces:
+                            counts.append(sum(pieces) + 2)
+                    least[src_kind, dst_kind, span] = min(counts)
+                    assert count_literals(n, key) == min(counts), key
+                    checked += 1
+        assert checked == 1137
+
+
 def program_profile(p):
     return to_text(p), literal_count(p), len(p.children), sorted(p.labels)
 
