@@ -235,6 +235,18 @@ class VerificationReport:
         return text
 
 
+def _degree(program: Program) -> int:
+    """The largest total degree of a monomial of the expansion (0 for the
+    unit): a product adds its factors' degrees and a sum takes the largest.
+    On a graph's table this is the longest path's length."""
+    is_product = program.is_product
+
+    def node(k, degrees):
+        return sum(degrees) if is_product[k] else max(degrees, default=0)
+
+    return _fold(program, lambda label: 0 if label is None else 1, node)
+
+
 def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[int]:
     """The code of every monomial of the expansion, with multiplicity."""
     is_product = program.is_product
@@ -250,7 +262,9 @@ def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[i
     return _fold(program, lambda label: [0 if label is None else code[label]], node)
 
 
-def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> VerificationReport:
+def check_exact(
+    e: Expr | Program, g: LabeledDigraph | Program, limit: int = 10**6
+) -> VerificationReport:
     """Pass iff the expansion of `e` equals the path-monomial multiset of `g`
     and contains no duplicate monomials.
 
@@ -304,10 +318,7 @@ def check_exact(e: Expr | Program, g: LabeledDigraph, limit: int = 10**6) -> Ver
         if expression_root == graph_root:
             return VerificationReport("exact", "pass", detail=detail)
 
-    def degree(k, degrees):
-        return sum(degrees) if program.is_product[k] else max(degrees, default=0)
-
-    width = max(_fold(program, lambda label: 0 if label is None else 1, degree), 1).bit_length()
+    width = max(_degree(program), 1).bit_length()
     labels = sorted(set(graph.labels).union(program.labels))
     code = {label: 1 << (width * i) for i, label in enumerate(labels)}
     expanded = _expression_codes(program, code)
@@ -384,7 +395,7 @@ def _primes_from(p: int) -> Iterator[int]:
 
 def check_fingerprint(
     e: Expr | Program,
-    g: LabeledDigraph,
+    g: LabeledDigraph | Program,
     trials: int = 10,
     seed: int = 42,
     prime: int = DEFAULT_PRIME,
@@ -412,13 +423,16 @@ def check_fingerprint(
     polynomials it fails the test, unless every monomial that holds it
     vanishes.
 
-    Raises DomainError as `check_fingerprint_parameters` does, with the
-    longest path length of `g` as the degree, for a seed not an int, and
-    when a trial's prime would lie past `is_prime`'s exact range.
+    `g` may be a graph or its table, `graph_program(g)`.  Raises
+    DomainError as `check_fingerprint_parameters` does, with the longest
+    path length of `g` as the degree (read off a table by `_degree`), for a
+    seed not an int, and when a trial's prime would lie past `is_prime`'s
+    exact range.
     """
     if type(seed) is not int:
         raise DomainError(f"the seed must be an int, got {seed!r}")
-    check_fingerprint_parameters(trials, prime, path_length_range(g)[1])
+    longest = _degree(g) if isinstance(g, Program) else path_length_range(g)[1]
+    check_fingerprint_parameters(trials, prime, longest)
     program = compile_program(e)
     graph = graph_program(g)
     labels = sorted(set(graph.labels).union(program.labels))

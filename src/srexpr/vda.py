@@ -26,22 +26,26 @@ against the path-sum oracle.  The swapped variants are kept
 (`reference_trap_base_variant`) so the discrepancy report can demonstrate the
 inconsistency.
 
-The recursion is written once and reaches literals, the unit, sums and
-products only through an algebra `h` (the fold of Meijer, Fokkinga and
-Paterson, "Functional programming with bananas, lenses, envelopes and barbed
-wire", 1991).  `program` builds straight into the slot table of a
-`ProgramBuilder`, memoized by terminal position, and makes no expression
+How a subgraph is built depends only on its shape: its two terminals' rows
+and their index distance.  Shifting both endpoints by t shifts the split
+vertex by t, and a base shape uses its position only to pick labels.  So
+`_plan` decides every shape of a call once, as a base builder with its
+letters or as the split vertex's offset from the source, and counts its
+literals on the way; a count of SR(n) takes O(log n) shapes and builds no
+expression.  The base builders and the split formula reach literals, the
+unit, sums and products only through an algebra `h` (the fold of Meijer,
+Fokkinga and Paterson, "Functional programming with bananas, lenses,
+envelopes and barbed wire", 1991), so they run both in the count algebra and
+in a `ProgramBuilder`.  `count_literals` returns the root shape's count;
+`program` walks terminal positions, memoized by the (src, dst) pair, reads
+only the plan, and builds straight into the slot table without expression
 nodes; `expression`/`generate` turn that table into an Expr.  Each call owns
-its memo and table, so concurrent calls are independent.  `count_literals`
-counts (a literal 1, the unit 0, a sum or product the sum of its operands),
-memoized by shape: the two terminals' rows and index distance.  That is sound
-because shifting both endpoints by t shifts the split vertex by t, and a base
-shape uses its position only to pick labels; a count of SR(n) takes O(log n)
-steps and builds no expression.
+its plan, memo and table, so concurrent calls are independent.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -174,18 +178,14 @@ _BASE_BUILDERS = {
 }
 
 
-def _base(h, src: Terminal, dst: Terminal, kind: SubgraphKind):
-    entry = _BASE_BUILDERS.get(kind)
-    if entry is None:
-        raise BaseCaseExpectedError(f"{src}->{dst} (size {kind.size}) is not a base case")
-    builder, letters = entry
-    return builder(h, src.index, *letters)
-
-
 def base_expression(key: SubExprKey) -> Expr:
     """The literal base expression for a size-1 or size-2 subgraph."""
+    kind = classify(key.src, key.dst)
+    if kind not in _BASE_BUILDERS:
+        raise BaseCaseExpectedError(f"{key.src}->{key.dst} (size {kind.size}) is not a base case")
+    builder, letters = _BASE_BUILDERS[kind]
     h = ProgramBuilder()
-    return to_expr(h.finish(_base(h, key.src, key.dst, classify(key.src, key.dst))))
+    return to_expr(h.finish(builder(h, key.src.index, *letters)))
 
 
 def reference_trap_base_variant(key: SubExprKey) -> Expr:
@@ -247,55 +247,58 @@ def _validate(n: int, key: SubExprKey, rounding: str) -> None:
     classify(key.src, key.dst)  # raises OrderingError for an empty span
 
 
-def _shape(src: Terminal, dst: Terminal) -> tuple:
-    return src.kind, dst.kind, dst.index - src.index
-
-
 # The count algebra: a literal counts 1, the unit 0, sums and products add.
 _COUNT = SimpleNamespace(lit=lambda letter, index: 1, one=0, sum=sum, product=sum)
 
 
-def _build(src: Terminal, dst: Terminal, rounding: str, h, memo: dict, key):
-    """E(src, dst) in the algebra `h`, by base case or midpoint split, memoized by `key`.
+def _split(h, src: Terminal, dst: Terminal, i: int, piece):
+    """E(src, dst) split at basic vertex i, in the algebra `h`, where
+    `piece(s, t)` gives E(s, t) for each of the six pieces in turn.
 
-    A module-level function rather than a closure inside `expression`: a
-    closure that calls itself is a reference cycle, which would keep the memo
-    and the builder alive until the next full garbage collection.
+    `_plan` and `_emit` pass themselves as `piece`, bound to their state by
+    `partial`.  They are module-level functions rather than closures: a
+    closure that calls itself is a reference cycle, which would keep its memo
+    and builder alive until the next full garbage collection.
     """
-    memo_key = key(src, dst)
-    result = memo.get(memo_key)
-    if result is not None:
-        return result
-    kind = classify(src, dst)
-    if kind.size <= 2:
-        result = _base(h, src, dst, kind)
-    else:
-        i = choose_split(kind, src.index, dst.index, rounding)
-        result = h.sum(
-            [
-                h.product(
-                    [
-                        _build(src, basic(i), rounding, h, memo, key),
-                        _build(basic(i), dst, rounding, h, memo, key),
-                    ]
-                ),
-                h.product(
-                    [
-                        _build(src, upper(i - 1), rounding, h, memo, key),
-                        h.lit("c", i - 1),
-                        _build(upper(i), dst, rounding, h, memo, key),
-                    ]
-                ),
-                h.product(
-                    [
-                        _build(src, lower(i - 1), rounding, h, memo, key),
-                        h.lit("a", i - 1),
-                        _build(lower(i), dst, rounding, h, memo, key),
-                    ]
-                ),
-            ]
-        )
-    memo[memo_key] = result
+    at_i = basic(i)
+    through_i = h.product([piece(src, at_i), piece(at_i, dst)])
+    over_c = h.product([piece(src, upper(i - 1)), h.lit("c", i - 1), piece(upper(i), dst)])
+    over_a = h.product([piece(src, lower(i - 1)), h.lit("a", i - 1), piece(lower(i), dst)])
+    return h.sum([through_i, over_c, over_a])
+
+
+def _plan(rounding: str, plan: dict, src: Terminal, dst: Terminal) -> int:
+    """The literal count of E(src, dst), deciding its shape and every shape
+    below it into `plan` once: the shape (src row, dst row, span) maps to
+    (step, count), where the step is a base builder and its letters, or the
+    split vertex's offset from the source."""
+    shape = (src.kind, dst.kind, dst.index - src.index)
+    entry = plan.get(shape)
+    if entry is None:
+        kind = classify(src, dst)
+        if kind.size <= 2:
+            builder, letters = step = _BASE_BUILDERS[kind]
+            count = builder(_COUNT, src.index, *letters)
+        else:
+            i = choose_split(kind, src.index, dst.index, rounding)
+            step = i - src.index
+            count = _split(_COUNT, src, dst, i, partial(_plan, rounding, plan))
+        entry = plan[shape] = (step, count)
+    return entry[1]
+
+
+def _emit(plan: dict, h: ProgramBuilder, memo: dict, src: Terminal, dst: Terminal):
+    """The slot of E(src, dst) in `h`, built as `plan` decides its shape,
+    memoized by the terminal pair."""
+    result = memo.get((src, dst))
+    if result is None:
+        step = plan[src.kind, dst.kind, dst.index - src.index][0]
+        if step.__class__ is int:
+            result = _split(h, src, dst, src.index + step, partial(_emit, plan, h, memo))
+        else:
+            builder, letters = step
+            result = builder(h, src.index, *letters)
+        memo[src, dst] = result
     return result
 
 
@@ -303,8 +306,10 @@ def program(n: int, key: SubExprKey, rounding: str = "ceil") -> Program:
     """The slot table of `expression(n, key, rounding)`, built straight into
     a `ProgramBuilder` without making an expression node."""
     _validate(n, key, rounding)
+    plan: dict = {}
+    _plan(rounding, plan, key.src, key.dst)
     h = ProgramBuilder()
-    return h.finish(_build(key.src, key.dst, rounding, h, {}, SubExprKey))
+    return h.finish(_emit(plan, h, {}, key.src, key.dst))
 
 
 def expression(n: int, key: SubExprKey, rounding: str = "ceil") -> Expr:
@@ -315,7 +320,7 @@ def expression(n: int, key: SubExprKey, rounding: str = "ceil") -> Expr:
 def count_literals(n: int, key: SubExprKey, rounding: str = "ceil") -> int:
     """`literal_count(expression(n, key, rounding))`, without building it."""
     _validate(n, key, rounding)
-    return _build(key.src, key.dst, rounding, _COUNT, {}, _shape)
+    return _plan(rounding, {}, key.src, key.dst)
 
 
 def generate(n: int, rounding: str = "ceil") -> Expr:

@@ -590,6 +590,31 @@ class TestCheckFingerprint:
         assert DEFAULT_PRIME > 2 * 127
 
 
+class TestGraphTable:
+    """Each oracle reads a graph's table, `graph_program(g)`, as it reads the graph."""
+
+    @pytest.mark.parametrize("mutant", [False, True], ids=["sr6", "relabelled-sr6"])
+    def test_each_oracle_reports_alike(self, mutant):
+        g = build_sr(6)
+        e = generate(6)
+        if mutant:
+            e = relabel_first_literal(e, g.labels()[-1])
+        table = graph_program(g)
+        assert check_exact(e, table) == check_exact(e, g)
+        assert check_exact(e, g).passed is not mutant
+        fingerprint = check_fingerprint(e, g, trials=12, seed=5)
+        assert check_fingerprint(e, table, trials=12, seed=5) == fingerprint
+        assert fingerprint.passed is not mutant
+
+    def test_the_degree_bound_reads_the_tables_longest_path(self):
+        # SR(6)'s longest path has 10 edges: 11 is the least admissible prime.
+        g = build_sr(6)
+        for graph in (g, graph_program(g)):
+            with pytest.raises(DomainError, match="degree 10"):
+                check_fingerprint(generate(6), graph, prime=7)
+            assert check_fingerprint(generate(6), graph, prime=11).passed
+
+
 def primes_from(p, count):
     """The first `count` primes from `p` on, by `is_prime`."""
     found = []

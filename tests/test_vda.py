@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import srexpr.vda as vda
 from srexpr import (
     BaseCaseExpectedError,
     DomainError,
@@ -55,6 +56,11 @@ GOLDEN_SR3 = "(b1+e1*e2+d1*d2)*(b2+e3*e4+d3*d4)+e1*c1*e4+d1*a1*d4"
 # followed by "\n", in build_sr(12).vertices order (source, then sink).
 SR12_TEXT_SHA256 = "361635004980d0fcf61f544a343882f191bd2a2b93efb370d0512ddfb82fbf81"
 SR12_JSON_SHA256 = "25494ba1ce3c193482db63e2256c49a27d86400e7d248b66519ce9a1e1465db6"
+
+# sha256 of `generator_digest`'s bytes, recorded while the generator still
+# decided every terminal pair anew: deciding once per shape must print the
+# same text and JSON and build tables of the same sizes.
+GENERATOR_SHA256 = "8c90b4d73d2239579459aa6d6d1dfe5f4a2a37672343598e38724d30884c662f"
 
 LOWER_FAMILIES = [
     Family.SL_BASIC_LOWER,
@@ -235,6 +241,23 @@ def terminal_pairs(g):
             except OrderingError:
                 continue
             yield src, dst
+
+
+def generator_digest() -> str:
+    """sha256 over the whole graph at n = 1..64 and 200 and every terminal
+    pair of SR(12), in both roundings: each table's text, its JSON for
+    n <= 24, then its slot count and `count_literals`."""
+    digest = hashlib.sha256()
+    for rounding in ("ceil", "floor"):
+        cases = [(n, SubExprKey(basic(1), basic(n))) for n in [*range(1, 65), 200]]
+        cases += [(12, SubExprKey(src, dst)) for src, dst in terminal_pairs(build_sr(12))]
+        for n, key in cases:
+            built = program(n, key, rounding)
+            digest.update(to_text(built).encode() + b"\n")
+            if n <= 24:
+                digest.update(to_json_text(built).encode() + b"\n")
+            digest.update(f"{len(built.children)} {count_literals(n, key, rounding)}\n".encode())
+    return digest.hexdigest()
 
 
 class TestGenerate:
@@ -613,6 +636,51 @@ class TestProgram:
         for name in ("expr.to_expr", "vda.to_expr", "expr.Sum", "expr.Prod"):
             monkeypatch.setattr(f"srexpr.{name}", forbidden)
         assert main(list(argv)) == 0, capsys.readouterr().err
+
+
+class TestPlan:
+    """`program` and `count_literals` read one decision per shape."""
+
+    def test_output_matches_the_recorded_digest(self):
+        assert generator_digest() == GENERATOR_SHA256
+
+    def test_count_walks_shapes_not_positions(self, monkeypatch):
+        # SR(982) first: a plan keyed by position would hold 28,021 entries
+        # there, and would not finish at 2**256.
+        plans = []
+        walk = vda._plan
+
+        def spy(rounding, plan, src, dst):
+            plans.append(plan)
+            vda._plan = walk  # the recursion below runs unwrapped, as deep as unspied
+            return walk(rounding, plan, src, dst)
+
+        for n, shapes in [(982, 145), (10**7, 354), (2**256, 3057)]:
+            monkeypatch.setattr(vda, "_plan", spy)
+            count_literals(n, SubExprKey(basic(1), basic(n)))
+            assert len(plans[-1]) == shapes, n
+
+    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
+    def test_program_decides_each_shape_once(self, monkeypatch, rounding):
+        calls = Counter()
+
+        def counted(function):
+            def wrapper(*args):
+                calls[function.__name__] += 1
+                return function(*args)
+
+            return wrapper
+
+        for function in (classify, choose_split):
+            monkeypatch.setattr(vda, function.__name__, counted(function))
+        program(982, SubExprKey(basic(1), basic(982)), rounding)
+        decided = dict(calls)
+        plan: dict = {}
+        vda._plan(rounding, plan, basic(1), basic(982))
+        splits = sum(1 for step, _ in plan.values() if isinstance(step, int))
+        assert (len(plan), splits) == (145, 128)
+        # `_validate` classifies the key once more, to refuse an empty span.
+        assert decided == {"classify": 146, "choose_split": 128}
 
 
 class TestCopies:
