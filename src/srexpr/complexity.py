@@ -5,8 +5,9 @@ square rhomboid, the single-leaf variants (all four orientations share one
 count), and the dipterous variants (trapezoidal and parallelogram counts
 coincide for sizes above 2 and split into separate bases below).  The
 recursive steps mirror the generator's midpoint splits, so the recurrence
-values must equal the "generated" counts, which `vda.count_literals` takes
-from the generator's own recursion without building an expression.
+values must equal the "generated" counts, which the generator's own plan
+(`vda._plan`) gives without building an expression; the three counts of
+one size share one plan, keyed by shape, so each shape is decided once.
 
 One published base value, the size-6 dipterous count, is inconsistent with
 the rest of the system (it is smaller than the size-5 value).  The recurrence
@@ -18,14 +19,14 @@ that fail the path-set oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, IntegrityError, InvalidSizeError
 from .expr import literal_count, to_text
 from .graph import basic, build_sr, check_size, induced_subgraph, lower, upper
 from .oracle import check_exact
-from .vda import SubExprKey, base_expression, count_literals, reference_trap_base_variant
+from .vda import SubExprKey, _plan, base_expression, reference_trap_base_variant
 
 # Published base values for the recurrence system.
 REFERENCE_SR_BASES = {1: 0, 2: 5}
@@ -76,10 +77,11 @@ class ComplexityRow(NamedTuple):
 
 
 def derived_dipterous_count(size: int) -> int:
-    """Dipterous literal count taken from the generator (trapezoidal
-    orientation; equal to the parallelogram count for sizes above 2)."""
+    """Dipterous literal count taken from the generator's plan (the
+    trapezoid from u1 to u(size+1); equal to the parallelogram count for
+    sizes above 2)."""
     check_size(size)
-    return count_literals(size + 2, SubExprKey(upper(1), upper(size + 1)))
+    return _plan("ceil", {}, upper(1), upper(size + 1))
 
 
 # typed=True: a bool or float size must miss the cache and reach check_size.
@@ -202,11 +204,12 @@ def asymptotic_check(samples: Iterable[int]) -> list[Fraction]:
 
 def generated_counts(n: int) -> tuple[int, int, int]:
     """Literal counts of the generator's expressions at size n: whole graph,
-    single-leaf, dipterous (trapezoidal orientation for n <= 2)."""
+    single-leaf, dipterous (trapezoidal orientation for n <= 2), read off
+    one plan of the generator's, which decides each shape of the three
+    once."""
     check_size(n)
-    whole = count_literals(n, SubExprKey(basic(1), basic(n)))
-    single = count_literals(n + 1, SubExprKey(basic(1), upper(n)))
-    return whole, single, derived_dipterous_count(n)
+    count = partial(_plan, "ceil", {})  # one plan, keyed by shape, for all three
+    return count(basic(1), basic(n)), count(basic(1), upper(n)), count(upper(1), upper(n + 1))
 
 
 def discrepancy_report() -> dict:

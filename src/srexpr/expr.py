@@ -25,24 +25,29 @@ walks Expr nodes; it and `from_json` hand each node's children's slots to
 A node's `hash` is kept on it, made once from its children's.  Literals are
 counted per occurrence.
 
-Every other pass over a table is a `_fold`, which hands each slot its
-children's values, so each distinct node is built or counted once:
-`to_expr` (one node per slot, one Lit per label), `to_json`, the counts and
-the exact oracle's diagram and monomial codes, of an expression or of a
-graph's path polynomial (`oracle.graph_program`).  Four are not.
-`Program.run`, both sides of the fingerprint, stays a flat loop over
-modular ints for speed; `iter_expansion` streams monomials, which a fold of
-whole values cannot; and the two text writers, `_write_text` (`to_text`,
-`gen` text and the `expression` field of `gen --output json`) and
-`_write_json` (`to_json_text` and the `ast` field), write while walking
-the tree written out, in buffer-sized chunks.  `_write_text` renders once
-and keeps only nodes of at most `_TEXT_CACHE_CHARS` (4,096) characters, so
-a run's memory is those small texts plus the tree's depth, not the output:
-rendered by a fold, the large texts and their copies made the peak RSS grow
-with the text and depend on how the heap happened to be laid out.  Every
-pass takes an Expr or a Program alike.  A hand-built empty Sum or Prod,
-which `make_sum` / `make_product` never make, folds as zero or as the unit;
-its text is "".
+Every other pass over a table is a `_fold` in an algebra with the
+generator's four operations (`vda`): `lit(letter, index)`, the unit `one`,
+and `sum` and `product` of a list of values.  `_fold` alone reads
+`is_product` to pick one of the last two, and each distinct node is built
+or counted once: `to_expr` (one node per slot, one Lit per label),
+`to_json`, the counts and the exact oracle's diagram and monomial codes, of
+an expression or of a graph's path polynomial (`oracle.graph_program`).
+`literal_count` folds in `_COUNT`, the algebra in which `vda` plans, so a
+count read off a plan and one folded off a table are one count.  An
+algebra whose unit is a mutable value is made per call.  Four passes are
+not folds.  `Program.run`, both sides of the fingerprint, stays a flat
+loop over modular ints for speed; `iter_expansion` streams monomials,
+which a fold of whole values cannot; and the two text writers,
+`_write_text` (`to_text`, `gen` text and the `expression` field of `gen
+--output json`) and `_write_json` (`to_json_text` and the `ast` field),
+write while walking the tree written out, in buffer-sized chunks.
+`_write_text` renders once and keeps only nodes of at most
+`_TEXT_CACHE_CHARS` (4,096) characters, so a run's memory is those small
+texts plus the tree's depth, not the output: rendered by a fold, the large
+texts and their copies made the peak RSS grow with the text and depend on
+how the heap happened to be laid out.  Every pass takes an Expr or a
+Program alike.  A hand-built empty Sum or Prod, which `make_sum` /
+`make_product` never make, folds as zero or as the unit; its text is "".
 """
 
 from __future__ import annotations
@@ -50,10 +55,11 @@ from __future__ import annotations
 import io
 import itertools
 from math import prod
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import CapacityError, MalformedExpressionError, UnboundLabelError
-from .graph import EdgeLabel
+from .errors import CapacityError, DomainError, MalformedExpressionError, UnboundLabelError
+from .graph import EdgeLabel, _check_limit
 
 #: Default field modulus for evaluation: the Mersenne prime 2**61 - 1.
 DEFAULT_PRIME = (1 << 61) - 1
@@ -181,11 +187,14 @@ class Monomial(NamedTuple):
 EMPTY_MONOMIAL = Monomial(())
 
 
+# The count algebra: a literal counts 1, the unit 0, sums and products add.
+_COUNT = SimpleNamespace(lit=lambda letter, index: 1, one=0, sum=sum, product=sum)
+
+
 def literal_count(e: Expr | Program) -> int:
     """Literal occurrences in `e` written out in full (a shared subterm
     counts once per occurrence)."""
-    leaf = lambda label: 0 if label is None else 1
-    return _fold(compile_program(e), leaf, lambda k, counts: sum(counts))
+    return _fold(compile_program(e), _COUNT)
 
 
 def expansion_size(e: Expr | Program) -> int:
@@ -193,21 +202,25 @@ def expansion_size(e: Expr | Program) -> int:
     return _shape(compile_program(e))[0]
 
 
+def _shape_product(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    m, d = 1, 0
+    for m2, d2 in pairs:
+        m, d = m * m2, d * m2 + d2 * m
+    return m, d
+
+
+# (monomials, total degree) of an expansion, with multiplicity.
+_SHAPE = SimpleNamespace(
+    lit=lambda letter, index: (1, 1), one=(1, 0), product=_shape_product,
+    sum=lambda pairs: (sum([m for m, _ in pairs]), sum([d for _, d in pairs])),
+)
+
+
 def _shape(program: Program) -> tuple[int, int]:
     """(monomials, total degree) of the expansion of `program`, with
     multiplicity, by one fold; on `oracle.graph_program(g)`, (paths, total
     length)."""
-    is_product = program.is_product
-
-    def node(k, pairs):
-        if not is_product[k]:
-            return sum([m for m, _ in pairs]), sum([d for _, d in pairs])
-        m, d = 1, 0
-        for m2, d2 in pairs:
-            m, d = m * m2, d * m2 + d2 * m
-        return m, d
-
-    return _fold(program, lambda label: (1, 0 if label is None else 1), node)
+    return _fold(program, _SHAPE)
 
 
 def iter_expansion(e: Expr | Program) -> Iterator[Monomial]:
@@ -244,7 +257,9 @@ def iter_expansion(e: Expr | Program) -> Iterator[Monomial]:
 
 def expand(e: Expr | Program, limit: int = 10**6) -> list[Monomial]:
     """Full distributive expansion as a list of monomials; CapacityError,
-    before building any, past `limit` monomials."""
+    before building any, past `limit` monomials, and DomainError, before
+    any work, when `limit` is not an int or is a bool."""
+    _check_limit(limit)
     program = compile_program(e)
     size = expansion_size(program)
     if size > limit:
@@ -293,6 +308,8 @@ class Program:
 
     def run(self, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME) -> int:
         """Value of the expression modulo `prime`; see `evaluate`."""
+        if type(prime) is not int or prime < 2:
+            raise DomainError(f"the modulus must be an int >= 2, got {prime!r}")
         values = [0] * len(self.children)
         try:
             values += [assignment[label] % prime for label in reversed(self.labels)]
@@ -371,19 +388,24 @@ class ProgramBuilder:
     def finish(self, root: int | tuple) -> Program:
         """The Program of `root`, interned first if it is a product's factors:
         the builder's lists as they stand.  Slots and labels that the root
-        does not reach are kept; of the builder's callers only
-        `vda.reference_trap_base_variant` leaves any."""
+        does not reach would be kept; no caller leaves any."""
         if root.__class__ is tuple:
             root = self._intern(1, root)
         return Program(tuple(self._labels), bytes(self.is_product), tuple(self.children), root)
 
 
+# The algebra of expression nodes, built as given: unlike `make_sum` / `make_product`, it
+# flattens nothing.
+_NODES = SimpleNamespace(
+    lit=lambda letter, index: Lit(EdgeLabel(letter, index)), one=ONE,
+    sum=lambda nodes: Sum(tuple(nodes)), product=lambda nodes: Prod(tuple(nodes)),
+)
+
+
 def to_expr(program: Program) -> Expr:
     """The expression of `program`, one node per slot (hash-consed as the
     table is), and one Lit per label slot: a `_fold` of node constructors."""
-    is_product = program.is_product
-    leaf = lambda label: ONE if label is None else Lit(label)
-    return _fold(program, leaf, lambda k, nodes: (Prod if is_product[k] else Sum)(tuple(nodes)))
+    return _fold(program, _NODES)
 
 
 def compile_program(e: Expr | Program) -> Program:
@@ -419,21 +441,26 @@ def evaluate(
     e: Expr | Program, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME
 ) -> int:
     """Value of `e` modulo `prime`; a label missing from `assignment` raises
-    UnboundLabelError.  For many points, use `compile_program(e).run`."""
+    UnboundLabelError, and a `prime` that is not an int of at least 2 (a
+    bool included) DomainError.  For many points, use
+    `compile_program(e).run`."""
     return compile_program(e).run(assignment, prime)
 
 
-def _fold(program: Program, leaf, node):
-    """The root's value: `leaf(label)` (None for the unit) at the leaves, and
-    `node(k, child_values)` at slot k in slot order, where `child_values` is
-    a fresh list of the values of `children[k]` in order.  A value is dropped
-    after its last use."""
+def _fold(program: Program, h):
+    """The root's value in the algebra `h`: `h.lit(letter, index)` at a
+    label's slot and `h.one` at the unit's, then, at each slot k in slot
+    order, `h.product` if `is_product[k]` and `h.sum` if not, of a fresh
+    list of the values of `children[k]` in order.  This is the one pass
+    that reads `is_product` for a fold.  A value is dropped after its last
+    use."""
     children = program.children
     last_use = {slot: k for k, slots in enumerate(children) for slot in slots}
-    values = [None] * len(children) + [leaf(x) for x in (*reversed(program.labels), None)]
+    values = [None] * len(children) + [h.lit(*x) for x in reversed(program.labels)] + [h.one]
     value_at = values.__getitem__
-    for k, slots in enumerate(children):
-        values[k] = node(k, list(map(value_at, slots)))
+    steps = (h.sum, h.product)
+    for k, (slots, product) in enumerate(zip(children, program.is_product)):
+        values[k] = steps[product](list(map(value_at, slots)))
         for slot in slots:
             if slot >= 0 and last_use[slot] == k:
                 values[slot] = None
@@ -552,10 +579,11 @@ def to_json(e: Expr | Program) -> dict:
     """AST as JSON-serializable nesting: {"lit": "b1"} | {"one": true} |
     {"sum": [...]} | {"prod": [...]}.  A fold over the slot table, so each
     distinct node is one dict, shared by every list that holds it."""
-    program = compile_program(e)
-    is_product = program.is_product
-    leaf = lambda label: {"one": True} if label is None else {"lit": str(label)}
-    return _fold(program, leaf, lambda k, items: {"prod" if is_product[k] else "sum": items})
+    h = SimpleNamespace(  # per call, as its unit is a dict
+        lit=lambda letter, index: {"lit": f"{letter}{index}"}, one={"one": True},
+        sum=lambda items: {"sum": items}, product=lambda items: {"prod": items},
+    )
+    return _fold(compile_program(e), h)
 
 
 def from_json(obj: dict) -> Expr:

@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     CapacityError,
+    DomainError,
     EmptySubgraphError,
     InvalidSizeError,
     OrderingError,
@@ -361,6 +362,14 @@ def check_size(n: int) -> None:
         raise InvalidSizeError(f"size must be < 2**{bits}, got a {n.bit_length()}-bit size")
 
 
+def _check_limit(limit: int) -> None:
+    """Raise DomainError unless `limit` is an int (not a bool): the one rule
+    for the monomial or path limit of `expand`, `enumerate_paths` and
+    `oracle.check_exact`."""
+    if type(limit) is not int:
+        raise DomainError(f"the limit must be an int, got {limit!r}")
+
+
 def build_sr(n: int) -> LabeledDigraph:
     """Build the square rhomboid of size n (n basic vertices, 3n-2 total).
 
@@ -484,10 +493,12 @@ def enumerate_paths(g: LabeledDigraph, limit: int = 10**6) -> list:
     Distinct paths always yield distinct monomials here, because an edge set
     that forms a path determines the path.  Raises CapacityError when the
     path count exceeds `limit`; fingerprint verification should be used
-    instead at that scale.
+    instead at that scale.  Raises DomainError when `limit` is not an int
+    or is a bool.
     """
     from .expr import Monomial  # deferred: expr imports labels from this module
 
+    _check_limit(limit)
     n_paths = path_count(g)
     if n_paths > limit:
         raise CapacityError.exceeded(n_paths, "paths", limit)

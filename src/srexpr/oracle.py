@@ -16,14 +16,17 @@ Two independent oracles:
     Scales to any n.  Each trial works modulo its own prime: the first is
     the given `prime`, which must be a prime above deg <= 2(n-1)
     (`is_prime`), and each later one the next prime above the last.  A
-    trial draws its values from the p_i - 1 nonzero residues, so by
-    Schwartz-Zippel it passes a wrong expression E with probability at
-    most deg(E - G)/(p_i - 1), G being the path polynomial and deg(E - G)
-    at most the larger of the two degrees, and the check does with at most
-    the product of these bounds.  That needs E - G nonzero modulo p_i: a
-    difference whose coefficients are all multiples of p_i passes the
-    trial.  Up to ten trials share one evaluation pass, modulo the product
-    of their primes (Chinese remainder theorem).
+    trial draws its values from the p_i - 1 nonzero residues as 1 + w mod
+    (p_i - 1), w uniform below W = 2**(64 * words) for the fewest 64-bit
+    words that cover p_i - 1, so no residue is drawn with probability above
+    ceil(W/(p_i - 1))/W.  By Schwartz-Zippel it passes a wrong expression E
+    with probability at most deg(E - G) * ceil(W/(p_i - 1))/W, G being the
+    path polynomial and deg(E - G) at most the larger of the two degrees
+    (1.125 deg(E - G)/(p_i - 1) at the default prime, 2**61 - 1), and the
+    check does with at most the product of these bounds.  That needs E - G
+    nonzero modulo p_i: a difference whose coefficients are all multiples
+    of p_i passes the trial.  Up to ten trials share one evaluation pass,
+    modulo the product of their primes (Chinese remainder theorem).
 
 The graph's path polynomial is a Program too, `graph_program(g)`, so each
 oracle reads the graph by a pass it makes over the expression.
@@ -41,6 +44,7 @@ from collections import Counter
 from itertools import count, islice
 from math import prod
 from operator import mul
+from types import SimpleNamespace
 from typing import Iterator, Mapping
 
 from .errors import CapacityError, DomainError
@@ -50,12 +54,13 @@ from .expr import (
     Expr,
     Monomial,
     Program,
+    _COUNT,
     _fold,
     _shape,
     compile_program,
     evaluate,
 )
-from .graph import LabeledDigraph, path_length_range
+from .graph import LabeledDigraph, _check_limit, path_length_range
 
 _MASK64 = (1 << 64) - 1
 
@@ -123,8 +128,14 @@ class SplitMix64:
         return (z ^ (z >> 31)) & _MASK64
 
     def field_element(self, prime: int) -> int:
-        """A nonzero element of Z_prime (the modulo bias is negligible)."""
-        return 1 + self.next_u64() % (prime - 1)
+        """A nonzero element of Z_prime: 1 + w mod (prime - 1), where w is
+        made of the fewest 64-bit words whose range W = 2**(64 * words)
+        covers prime - 1, one word up to prime 2**64 + 1.  So no residue is
+        drawn with probability above ceil(W / (prime - 1)) / W."""
+        w, span = self.next_u64(), 1 << 64
+        while span < prime - 1:
+            w, span = w << 64 | self.next_u64(), span << 64
+        return 1 + w % (prime - 1)
 
 
 def graph_program(g: LabeledDigraph | Program) -> Program:
@@ -165,7 +176,8 @@ def dp_eval(
     g: LabeledDigraph | Program, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME
 ) -> int:
     """Value of the path polynomial of `g` modulo `prime`, without expanding
-    it: one run of `graph_program(g)`, which takes a graph or its table."""
+    it: one run of `graph_program(g)`, which takes a graph or its table.
+    A modulus that `evaluate` refuses raises DomainError."""
     return graph_program(g).run(assignment, prime)
 
 
@@ -235,31 +247,32 @@ class VerificationReport:
         return text
 
 
+# The degree algebra: a literal has degree 1 and the unit 0, a product adds
+# its factors' degrees and a sum takes the largest (0 for an empty sum).
+_DEGREE = SimpleNamespace(lit=_COUNT.lit, one=0, sum=lambda ds: max(ds, default=0), product=sum)
+
+
 def _degree(program: Program) -> int:
     """The largest total degree of a monomial of the expansion (0 for the
-    unit): a product adds its factors' degrees and a sum takes the largest.
-    On a graph's table this is the longest path's length."""
-    is_product = program.is_product
+    unit), by a fold in `_DEGREE`.  On a graph's table this is the longest
+    path's length."""
+    return _fold(program, _DEGREE)
 
-    def node(k, degrees):
-        return sum(degrees) if is_product[k] else max(degrees, default=0)
 
-    return _fold(program, lambda label: 0 if label is None else 1, node)
+def _code_product(lists: list[list[int]]) -> list[int]:
+    acc = [0]  # the code of the unit
+    for part in lists:
+        acc = [x + y for x in acc for y in part]
+    return acc
 
 
 def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[int]:
     """The code of every monomial of the expansion, with multiplicity."""
-    is_product = program.is_product
-
-    def node(k, lists):
-        if not is_product[k]:
-            return [x for part in lists for x in part]
-        acc = [0]  # the code of the unit
-        for part in lists:
-            acc = [x + y for x in acc for y in part]
-        return acc
-
-    return _fold(program, lambda label: [0 if label is None else code[label]], node)
+    h = SimpleNamespace(  # per call: its unit is a list; `code` takes a label as (letter, index)
+        lit=lambda letter, index: [code[letter, index]], one=[0],
+        sum=lambda lists: [x for part in lists for x in part], product=_code_product,
+    )
+    return _fold(program, h)
 
 
 def check_exact(
@@ -300,8 +313,7 @@ def check_exact(
     and DomainError, before any work, when `limit` is not an int or is a
     bool.
     """
-    if type(limit) is not int:
-        raise DomainError(f"the limit must be an int, got {limit!r}")
+    _check_limit(limit)
     from .zdd import diagrams  # only an exact check needs it; every run would compile it
 
     graph = graph_program(g)
@@ -415,12 +427,14 @@ def check_fingerprint(
     The transcript of every trial is kept in the report detail, so identical
     (seed, trials, prime) yield identical reports.  When E - G, the
     difference of the two polynomials, is nonzero modulo every p_i, a pass
-    is false with probability at most the product of deg(E - G)/(p_i - 1)
-    (Schwartz-Zippel, over the p_i - 1 nonzero residues), where deg(E - G)
-    is at most the larger of the two degrees; a difference whose
-    coefficients are all multiples of p_i passes trial i.  An edge outside
-    `g` is one more variable: like any other difference between the
-    polynomials it fails the test, unless every monomial that holds it
+    is false with probability at most the product of deg(E - G) *
+    ceil(W/(p_i - 1))/W (Schwartz-Zippel, over the p_i - 1 nonzero
+    residues, none drawn with probability above ceil(W/(p_i - 1))/W, where
+    W = 2**(64 * words) is the range of the words `field_element` draws),
+    and deg(E - G) is at most the larger of the two degrees; a difference
+    whose coefficients are all multiples of p_i passes trial i.  An edge
+    outside `g` is one more variable: like any other difference between
+    the polynomials it fails the test, unless every monomial that holds it
     vanishes.
 
     `g` may be a graph or its table, `graph_program(g)`.  Raises

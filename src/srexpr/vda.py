@@ -33,24 +33,28 @@ vertex by t, and a base shape uses its position only to pick labels.  So
 letters or as the split vertex's offset from the source, and counts its
 literals on the way; a count of SR(n) takes O(log n) shapes and builds no
 expression.  The base builders and the split formula reach literals, the
-unit, sums and products only through an algebra `h` (the fold of Meijer,
-Fokkinga and Paterson, "Functional programming with bananas, lenses,
-envelopes and barbed wire", 1991), so they run both in the count algebra and
-in a `ProgramBuilder`.  `count_literals` returns the root shape's count;
-`program` walks terminal positions, memoized by the (src, dst) pair, reads
-only the plan, and builds straight into the slot table without expression
-nodes; `expression`/`generate` turn that table into an Expr.  Each call owns
-its plan, memo and table, so concurrent calls are independent.
+unit, sums and products only through an algebra `h` with the operations
+`lit(letter, index)`, `one`, `sum(values)` and `product(values)` (the fold
+of Meijer, Fokkinga and Paterson, "Functional programming with bananas,
+lenses, envelopes and barbed wire", 1991), so they run both in the count
+algebra `expr._COUNT` and in a `ProgramBuilder`.  Every pass over a slot
+table, `expr._fold`, takes an algebra of the same four operations, and
+`literal_count` folds in that same `_COUNT`.  `count_literals` returns the
+root shape's count; `program` walks terminal positions, memoized by the
+(src, dst) pair, reads only the plan, and builds straight into the slot
+table without expression nodes; `expression`/`generate` turn that table
+into an Expr.  Each call owns its plan, memo and table, so concurrent calls
+are independent.  A plan is keyed by shape alone, so the counts of several
+subgraphs, of any sizes, can share one (`complexity.generated_counts`).
 """
 
 from __future__ import annotations
 
 from functools import partial
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import BaseCaseExpectedError, DomainError, RangeError
-from .expr import Expr, Program, ProgramBuilder, to_expr
+from .expr import _COUNT, _NODES, Expr, Program, ProgramBuilder, Sum, to_expr
 from .graph import (  # MAX_SIZE and check_size are re-exported: the CLI reads them here
     MAX_SIZE,
     Family,
@@ -179,13 +183,13 @@ _BASE_BUILDERS = {
 
 
 def base_expression(key: SubExprKey) -> Expr:
-    """The literal base expression for a size-1 or size-2 subgraph."""
+    """The literal base expression for a size-1 or size-2 subgraph: its
+    builder run in the algebra of expression nodes."""
     kind = classify(key.src, key.dst)
     if kind not in _BASE_BUILDERS:
         raise BaseCaseExpectedError(f"{key.src}->{key.dst} (size {kind.size}) is not a base case")
     builder, letters = _BASE_BUILDERS[kind]
-    h = ProgramBuilder()
-    return to_expr(h.finish(builder(h, key.src.index, *letters)))
+    return builder(_NODES, key.src.index, *letters)
 
 
 def reference_trap_base_variant(key: SubExprKey) -> Expr:
@@ -201,10 +205,9 @@ def reference_trap_base_variant(key: SubExprKey) -> Expr:
     if kind.size != 2 or not kind.is_trapezoidal:
         raise ValueError(f"{key.src}->{key.dst} is not a size-2 trapezoid")
     e, d, c, a = _BASE_BUILDERS[(kind.family, 2)][1]
-    h = ProgramBuilder()
-    first, _ = h.children[_trap_size2(h, key.src.index, e, d, c, a)]
-    _, second = h.children[_trap_size2(h, key.src.index, d, e, a, c)]
-    return to_expr(h.finish(h.sum([first, second])))
+    first, _ = _trap_size2(_NODES, key.src.index, e, d, c, a).children
+    _, second = _trap_size2(_NODES, key.src.index, d, e, a, c).children
+    return Sum((first, second))
 
 
 def choose_split(kind: SubgraphKind, p: int, q: int, rounding: str = "ceil") -> int:
@@ -245,10 +248,6 @@ def _validate(n: int, key: SubExprKey, rounding: str) -> None:
         if not 1 <= terminal.index <= bound:
             raise RangeError(f"{terminal} is outside a size-{n} square rhomboid")
     classify(key.src, key.dst)  # raises OrderingError for an empty span
-
-
-# The count algebra: a literal counts 1, the unit 0, sums and products add.
-_COUNT = SimpleNamespace(lit=lambda letter, index: 1, one=0, sum=sum, product=sum)
 
 
 def _split(h, src: Terminal, dst: Terminal, i: int, piece):

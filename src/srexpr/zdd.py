@@ -15,15 +15,17 @@ variables costs no Python frames.
 
 `diagrams` folds two slot tables into one diagram table, as families of
 label sets: an expression's, and its graph's path polynomial
-(`oracle.graph_program`), by the same steps, in the variable order the
-graph's table lists.  It is the exact oracle's decision procedure, and
-only `oracle.check_exact` imports this module, when it runs.
+(`oracle.graph_program`), in one algebra of the generator's four
+operations (`expr._fold`), in the variable order the graph's table
+lists.  It is the exact oracle's decision procedure, and only
+`oracle.check_exact` imports this module, when it runs.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from math import inf
+from types import SimpleNamespace
 
 from .expr import Program, _fold
 
@@ -135,7 +137,7 @@ class ZDD:
         return results.pop()
 
 
-def diagrams(program: Program, graph: Program) -> tuple[int, ...]:
+def diagrams(program: Program, graph: Program) -> tuple[int, int]:
     """(expression root, graph root): the family of the label sets of the
     monomials of `program`'s expansion, and that of `graph`, the table
     `oracle.graph_program(g)`, whose monomials are the edge sets of `g`'s
@@ -144,8 +146,8 @@ def diagrams(program: Program, graph: Program) -> tuple[int, ...]:
     The variable order is `graph`'s labels reversed, which lists every edge
     before each edge that leaves its head (on a square rhomboid, the order
     of (topological position of the tail, of the head, label)); labels
-    outside the graph follow, in label order.  Both are a `_fold` with the
-    same steps: a literal is a singleton, the unit {{}}, a sum a union and a
+    outside the graph follow, in label order.  Both are a `_fold` in one
+    algebra: a literal is a singleton, the unit {{}}, a sum a union and a
     product a join.  On the graph's table each union and join makes one
     node, as an edge's variable precedes every variable below its head.
     """
@@ -154,16 +156,16 @@ def diagrams(program: Program, graph: Program) -> tuple[int, ...]:
         var[label] = len(var)
     table = ZDD()
 
-    def leaf(label):
-        return UNIT if label is None else table.node(var[label], EMPTY, UNIT)
-
-    def node(is_product, k, families):
+    def combine(apply, acc, families):
         # From the latest top variable up: a family whose variables all
         # precede the accumulated ones then costs one walk over itself.
         families.sort(key=table.var.__getitem__, reverse=True)
-        acc, apply = (UNIT, table.join) if is_product[k] else (EMPTY, table.union)
         for family in families:
             acc = apply(acc, family)
         return acc
 
-    return tuple(_fold(p, leaf, partial(node, p.is_product)) for p in (program, graph))
+    h = SimpleNamespace(  # a label is its (letter, index), so `var` takes either
+        lit=lambda letter, index: table.node(var[letter, index], EMPTY, UNIT), one=UNIT,
+        sum=partial(combine, table.union, EMPTY), product=partial(combine, table.join, UNIT),
+    )
+    return _fold(program, h), _fold(graph, h)

@@ -23,6 +23,12 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
 GOLDEN_SR3 = "(b1+e1*e2+d1*d2)*(b2+e3*e4+d3*d4)+e1*c1*e4+d1*a1*d4"
 
+# `closed-form --k K` for K = 4..9, 70 and 256, then `table`, each as text
+# and as JSON, written one after another.
+CLOSED_FORM_AND_TABLE_SHA256 = (
+    "6a2127d6bffceab7b17393212f111bbc4ca6080594dcfafec62c90737c8704c6"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -303,6 +309,20 @@ class TestClosedForm:
 
     def test_small_k_exits_2(self, capsys):
         assert run(capsys, "closed-form", "--k", "1")[0] == 2
+
+    def test_output_matches_the_recorded_digest(self, capsys):
+        # Recorded when each of the three generated counts made its own plan.
+        sha = hashlib.sha256()
+        for k in (4, 5, 6, 7, 8, 9, 70, 256):
+            for output in ("text", "json"):
+                code, out, _ = run(capsys, "closed-form", "--k", str(k), "--output", output)
+                assert code == 0
+                sha.update(out.encode())
+        for output in ("text", "json"):
+            code, out, _ = run(capsys, "table", "--output", output)
+            assert code == 0
+            sha.update(out.encode())
+        assert sha.hexdigest() == CLOSED_FORM_AND_TABLE_SHA256
 
 
 class TestSizeBound:

@@ -33,7 +33,8 @@ from srexpr.complexity import (
     REFERENCE_DIPTEROUS_PARALLELOGRAM_BASES,
     REFERENCE_DIPTEROUS_TRAPEZOID_BASES,
 )
-from srexpr.graph import build_sr, sr_path_count
+from srexpr import complexity, vda
+from srexpr.graph import MAX_SIZE, build_sr, sr_path_count
 
 
 class TestRecurrence:
@@ -127,6 +128,33 @@ class TestRecurrence:
         sr_count(1)
         with pytest.raises(InvalidSizeError, match="must be an int"):
             count(n)
+
+
+class TestOnePlan:
+    """`generated_counts` reads its three counts off one plan of the
+    generator's, which decides each shape once."""
+
+    @pytest.mark.parametrize("n, shapes", [(2**9, 120), (2**256, 3825)], ids=["2**9", "2**256"])
+    def test_three_counts_share_one_plan(self, monkeypatch, n, shapes):
+        # Three separate plans would decide 263 and 8,414 shapes.
+        plans = []
+
+        def spy(rounding, plan, src, dst):
+            plans.append(plan)
+            return vda._plan(rounding, plan, src, dst)
+
+        monkeypatch.setattr(complexity, "_plan", spy)
+        assert generated_counts(n) == closed_form(n)
+        assert len(plans) == 3 and all(plan is plans[0] for plan in plans)
+        assert len(plans[0]) == shapes
+
+    @pytest.mark.parametrize("n", [MAX_SIZE, MAX_SIZE - 1], ids=["MAX_SIZE", "MAX_SIZE-1"])
+    def test_counts_at_the_largest_sizes(self, n):
+        # The single-leaf and dipterous subgraphs of size n lie in SR(n + 1)
+        # and SR(n + 2), past MAX_SIZE here; their shapes do not.
+        expected = (sr_count(n), single_leaf_count(n), dipterous_count(n))
+        assert generated_counts(n) == expected
+        assert derived_dipterous_count(n) == expected[2]
 
 
 class TestClosedForm:

@@ -11,6 +11,7 @@ import pytest
 from srexpr import (
     CapacityError,
     DEFAULT_PRIME,
+    DomainError,
     EMPTY_MONOMIAL,
     EdgeLabel,
     Family,
@@ -147,6 +148,11 @@ class TestExpand:
         with pytest.raises(CapacityError):
             expand(generate(6), limit=100)
 
+    @pytest.mark.parametrize("limit", [2.5, None, True], ids=["float", "none", "bool"])
+    def test_limit_must_be_an_int(self, limit):
+        with pytest.raises(DomainError, match="the limit must be an int"):
+            expand(generate(4), limit=limit)
+
     def test_capacity_message_states_a_huge_count_by_its_digits(self):
         # 2**15000 monomials: str() refuses ints of more than 4,300 digits
         huge = make_product([make_sum([lit("b1"), lit("b2")])] * 15000)
@@ -202,6 +208,18 @@ class TestEvaluate:
     def test_missing_label(self):
         with pytest.raises(UnboundLabelError):
             evaluate(sr2_expr(), {EdgeLabel("b", 1): 2})
+
+    @pytest.mark.parametrize(
+        "prime",
+        [0, 1, -7, 2.5, True, None],
+        ids=["zero", "one", "negative", "float", "bool", "none"],
+    )
+    def test_modulus_must_be_an_int_of_at_least_two(self, prime):
+        e = generate(4)
+        assignment = {label: 3 for label in build_sr(4).labels()}
+        with pytest.raises(DomainError, match="the modulus must be an int >= 2"):
+            evaluate(e, assignment, prime)
+        assert evaluate(e, assignment, 2) in (0, 1)
 
     def test_nodes_built_without_smart_constructors(self):
         assignment = {EdgeLabel("b", 1): 5}

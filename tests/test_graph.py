@@ -6,6 +6,7 @@ import pytest
 
 from srexpr import (
     CapacityError,
+    DomainError,
     EdgeLabel,
     EmptySubgraphError,
     Family,
@@ -308,6 +309,11 @@ class TestPaths:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             enumerate_paths(build_sr(4), limit=10)
+
+    @pytest.mark.parametrize("limit", [None, 2.5, True], ids=["none", "float", "bool"])
+    def test_limit_must_be_an_int(self, limit):
+        with pytest.raises(DomainError, match="the limit must be an int"):
+            enumerate_paths(build_sr(4), limit=limit)
 
     def test_row_recurrence_counts_paths(self):
         assert [sr_path_count(n) for n in range(1, 65)] == [

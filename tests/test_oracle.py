@@ -148,6 +148,24 @@ class TestSplitMix:
         values = [rng.field_element(DEFAULT_PRIME) for _ in range(1000)]
         assert all(1 <= v < DEFAULT_PRIME for v in values)
 
+    @pytest.mark.parametrize("prime", [DEFAULT_PRIME, 2**64 - 59], ids=["default", "below-2**64"])
+    def test_a_prime_up_to_two_to_the_64_takes_one_word_a_draw(self, prime):
+        rng, words = SplitMix64(7), SplitMix64(7)
+        for _ in range(100):
+            assert rng.field_element(prime) == 1 + words.next_u64() % (prime - 1)
+
+    def test_draws_cover_a_prime_above_two_to_the_64(self):
+        # The least prime above 2**70: a single 64-bit word would reach only
+        # 1/64 of its nonzero residues.
+        prime = 1180591620717411303449
+        assert is_prime(prime) and not any(map(is_prime, range(2**70, prime)))
+        rng = SplitMix64(7)
+        values = [rng.field_element(prime) for _ in range(1000)]
+        assert all(1 <= v < prime for v in values)
+        assert sum(v > 2**64 for v in values) > 900
+        report = check_fingerprint(generate(30), build_sr(30), trials=3, prime=prime)
+        assert report.passed and report.prime == prime
+
 
 class TestDpEval:
     def test_all_ones_is_path_count(self):
@@ -171,6 +189,12 @@ class TestDpEval:
     def test_missing_label(self):
         with pytest.raises(UnboundLabelError):
             dp_eval(build_sr(2), {EdgeLabel("b", 1): 1})
+
+    @pytest.mark.parametrize("prime", [0, -7, 2.5, True], ids=["zero", "negative", "float", "bool"])
+    def test_modulus_must_be_an_int_of_at_least_two(self, prime):
+        g = build_sr(4)
+        with pytest.raises(DomainError, match="the modulus must be an int >= 2"):
+            dp_eval(g, {label: 3 for label in g.labels()}, prime)
 
     @pytest.mark.parametrize("n", [2, 5, 17, 33, 64, 128])
     def test_all_ones_matches_path_count(self, n):
@@ -584,7 +608,7 @@ class TestCheckFingerprint:
             assert report.passed, n
 
     def test_degree_bound_for_error_estimate(self):
-        # each trial's error bound deg/p_i, p_i >= prime, uses deg = 2(n-1)
+        # each trial's error bound deg * ceil(W/(p_i - 1))/W, p_i >= prime, uses deg = 2(n-1)
         for n in (2, 16, 128):
             assert path_length_range(build_sr(n))[1] == 2 * (n - 1)
         assert DEFAULT_PRIME > 2 * 127
