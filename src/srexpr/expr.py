@@ -14,16 +14,19 @@ slot each.  `ProgramBuilder` is the one interner of such tables, after
 Filliatre & Conchon ("Type-safe modular hash-consing", 2006): `lit` makes
 one slot per label, by (letter, index), and `_intern` one per (type,
 children's slots), taken as they are: `make_sum` / `make_product` are the
-one normalizer.  The generator builds through its `sum` and `product`,
-which intern what they are given, except that a product of leaves only
-waits until a sum or `finish` interns it or a product splices it in, so the
-products that the generator flattens into others are never made.
-`compile_program` lowers any Expr to a table, and is the only code that
-walks Expr nodes; it and `from_json` hand each node's children's slots to
-`_intern`, so equal expressions lower to equal tables, `from_json` inverts
-`to_json`, and `==` of nodes compares those tables at the cost of the DAG.
-A node's `hash` is kept on it, made once from its children's.  Literals are
-counted per occurrence.
+one normalizer.  Its `sum` and `product` intern what they are given, except
+that a product of leaves only waits until a sum or `finish` interns it or a
+product splices it in, so the products that the generator flattens into
+others are never made; the generator (`vda._Columns`) applies the same rule
+to a column of positions at a time, interning into the builder's own
+tables, and the tests build its reference tables through `sum` and
+`product`.  `compile_program` lowers any Expr to a table, kept on the node
+so that it is lowered once, and is the only code that walks Expr nodes; it
+and `from_json` hand each node's children's slots to `_intern`, so equal
+expressions lower to equal tables, `from_json` inverts `to_json`, and `==`
+of nodes compares those tables at the cost of the DAG.  A node's `hash` is
+kept on it, made once from its children's.  Literals are counted per
+occurrence.
 
 Every other pass over a table is a `_fold` in an algebra with the
 generator's four operations (`vda`): `lit(letter, index)`, the unit `one`,
@@ -75,10 +78,12 @@ class Expr:
     that of the DAG, not of the tree written out.  `hash` is made once per
     node, from its type and its fields (a Lit's label, the children's own
     hashes), and kept in the base class's slot `_hash`: equal trees hash
-    alike, and a node shared by many parents is hashed once.
+    alike, and a node shared by many parents is hashed once.  The table that
+    `compile_program` lowers a node to is kept in the slot `_program`, so a
+    node is lowered once however many passes read it.
     """
 
-    __slots__ = ("_hash",)
+    __slots__ = ("_hash", "_program")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -415,9 +420,13 @@ def compile_program(e: Expr | Program) -> Program:
     they share nodes.  This is the one walk over Expr nodes, once per node
     object, and it interns through a fresh `ProgramBuilder` (`lit` and
     `_intern`); every other pass reads the table.  A Program is returned as
-    it is."""
+    it is, and the table is kept on `e`, so a second call returns it."""
     if isinstance(e, Program):
         return e
+    try:
+        return e._program
+    except AttributeError:
+        pass
     h = ProgramBuilder()
     slot_of: dict[int, int] = {}
 
@@ -434,7 +443,9 @@ def compile_program(e: Expr | Program) -> Program:
             slot_of[id(node)] = slot
         return slot
 
-    return h.finish(visit(e))
+    program = h.finish(visit(e))
+    object.__setattr__(e, "_program", program)
+    return program
 
 
 def evaluate(

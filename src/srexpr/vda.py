@@ -37,20 +37,25 @@ unit, sums and products only through an algebra `h` with the operations
 `lit(letter, index)`, `one`, `sum(values)` and `product(values)` (the fold
 of Meijer, Fokkinga and Paterson, "Functional programming with bananas,
 lenses, envelopes and barbed wire", 1991), so they run both in the count
-algebra `expr._COUNT` and in a `ProgramBuilder`.  Every pass over a slot
-table, `expr._fold`, takes an algebra of the same four operations, and
-`literal_count` folds in that same `_COUNT`.  `count_literals` returns the
-root shape's count; `program` walks terminal positions, memoized by the
-(src, dst) pair, reads only the plan, and builds straight into the slot
-table without expression nodes; `expression`/`generate` turn that table
-into an Expr.  Each call owns its plan, memo and table, so concurrent calls
-are independent.  A plan is keyed by shape alone, so the counts of several
+algebra `expr._COUNT` and in `_Columns`, which builds a `ProgramBuilder`'s
+table.  Every pass over a slot table, `expr._fold`, takes an algebra of the
+same four operations, and `literal_count` folds in that same `_COUNT`.
+`count_literals` returns the root shape's count.  `program` reads only the
+plan and builds the slot table one shape at a time, without expression
+nodes: going down by span it gathers each shape's source positions, and
+going up it runs each shape's step once, at source index 1, in `_Columns`,
+the algebra whose values are columns of slots over all of the shape's
+positions.  `expression`/`generate` turn that table into an Expr.  Each
+call owns its plan, rows and table, so concurrent calls are independent.
+A plan is keyed by shape alone, so the counts of several
 subgraphs, of any sizes, can share one (`complexity.generated_counts`).
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
+from itertools import repeat
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .errors import BaseCaseExpectedError, DomainError, RangeError
@@ -254,10 +259,10 @@ def _split(h, src: Terminal, dst: Terminal, i: int, piece):
     """E(src, dst) split at basic vertex i, in the algebra `h`, where
     `piece(s, t)` gives E(s, t) for each of the six pieces in turn.
 
-    `_plan` and `_emit` pass themselves as `piece`, bound to their state by
-    `partial`.  They are module-level functions rather than closures: a
-    closure that calls itself is a reference cycle, which would keep its memo
-    and builder alive until the next full garbage collection.
+    `_plan` passes itself as `piece`, bound to its state by `partial`, and
+    `_build` passes the methods `_Columns.gather` and `_Columns.piece`.
+    They are not closures: a closure that calls itself is a reference cycle,
+    which would keep its state alive until the next full garbage collection.
     """
     at_i = basic(i)
     through_i = h.product([piece(src, at_i), piece(at_i, dst)])
@@ -286,19 +291,106 @@ def _plan(rounding: str, plan: dict, src: Terminal, dst: Terminal) -> int:
     return entry[1]
 
 
-def _emit(plan: dict, h: ProgramBuilder, memo: dict, src: Terminal, dst: Terminal):
-    """The slot of E(src, dst) in `h`, built as `plan` decides its shape,
-    memoized by the terminal pair."""
-    result = memo.get((src, dst))
-    if result is None:
-        step = plan[src.kind, dst.kind, dst.index - src.index][0]
-        if step.__class__ is int:
-            result = _split(h, src, dst, src.index + step, partial(_emit, plan, h, memo))
-        else:
-            builder, letters = step
-            result = builder(h, src.index, *letters)
-        memo[src, dst] = result
-    return result
+def _run(h, shape: tuple, step, piece):
+    """The step of `shape` at source index 1, in the algebra `h`."""
+    if step.__class__ is int:
+        src, dst = Terminal(shape[0], 1), Terminal(shape[1], 1 + shape[2])
+        return _split(h, src, dst, 1 + step, piece)
+    builder, letters = step
+    return builder(h, 1, *letters)
+
+
+class _Columns:
+    """The algebra in which `_build` runs a shape's step once for all of its
+    source positions `at`, as if at source index 1.  A value is a column: a
+    node's value in `h` at each position in turn.  A label's index at source
+    p is its index at 1 moved p - 1 columns, where column p of SR holds b_p,
+    c_p and a_p but e and d labels 2p-1 and 2p.  A piece is read off the row
+    of its shape, built before it, and the row is dropped after its last
+    reader.  Whether a value is a leaf, a product of leaves or a slot is the
+    same at every position of a shape, so `ProgramBuilder`'s rule for
+    products of leaves is decided once per column, on its first position,
+    and a column's keys are interned in one loop."""
+
+    __slots__ = ("h", "at", "positions", "readers", "rows")
+
+    def __init__(self, h: ProgramBuilder, positions: dict) -> None:
+        self.h, self.positions, self.readers, self.rows = h, positions, {}, {}
+
+    def gather(self, src: Terminal, dst: Terminal) -> int:
+        """`piece` for the step run in `_COUNT`: add the positions `at`,
+        moved to this piece's source, to its shape's, and count the piece
+        as one more reader of that shape's row."""
+        shape = (src.kind, dst.kind, dst.index - src.index)
+        self.positions.setdefault(shape, set()).update(map((src.index - 1).__add__, self.at))
+        self.readers[shape] = self.readers.get(shape, 0) + 1
+        return 0
+
+    def lit(self, letter: str, index: int) -> list[int]:
+        stride = 2 if letter in "de" else 1
+        indices = map((index - stride).__add__, map(stride.__mul__, self.at))
+        return list(map(self.h.lit, repeat(letter), indices))
+
+    @property
+    def one(self) -> list[int]:
+        return [self.h.one] * len(self.at)
+
+    def piece(self, src: Terminal, dst: Terminal) -> list:
+        shape = (src.kind, dst.kind, dst.index - src.index)
+        row = self.rows[shape]
+        self.readers[shape] -= 1
+        if not self.readers[shape]:
+            del self.rows[shape]
+        return list(map(row.__getitem__, map((src.index - 1).__add__, self.at)))
+
+    def sum(self, columns: list[list]) -> list[int]:
+        columns = [self._intern(1, c) if c[0].__class__ is tuple else c for c in columns]
+        return self._intern(0, zip(*columns))
+
+    def product(self, columns: list[list]) -> list:
+        parts, spliced, leaves = [], False, True
+        for column in columns:
+            if column[0].__class__ is tuple:  # a product of leaves, spliced in
+                spliced = True
+                parts.append(column)
+            else:
+                leaves = leaves and column[0] < 0
+                parts.append(zip(column))
+        keys = reduce(partial(map, add), parts) if spliced else zip(*columns)
+        return list(keys) if leaves else self._intern(1, keys)  # a product of leaves waits
+
+    def _intern(self, product: int, keys) -> list[int]:
+        """`h._intern(product, key)` of each key in turn."""
+        h = self.h
+        intern, children, is_product = h._interned[product].setdefault, h.children, h.is_product
+        slots, new = [], len(children)
+        for key in keys:
+            slot = intern(key, new)
+            if slot == new:
+                children.append(key)
+                is_product.append(product)
+                new += 1
+            slots.append(slot)
+        return slots
+
+
+def _build(plan: dict, h: ProgramBuilder, src: Terminal, dst: Terminal):
+    """The value in `h` of E(src, dst), built one shape at a time as `plan`
+    decides.  Going down by span, each shape's source positions are gathered
+    from its parents' (a piece has a smaller span than its parent); going
+    up, each shape's step runs once in `_Columns` over all its positions,
+    and its row maps each position to the value there.  So the work per
+    terminal pair is a few list items and one interning per node."""
+    top = (src.kind, dst.kind, dst.index - src.index)
+    order = sorted(plan, key=itemgetter(2), reverse=True)
+    columns = _Columns(h, {top: {src.index}})
+    for shape in order:
+        columns.at = columns.positions[shape] = sorted(columns.positions[shape])
+        _run(_COUNT, shape, plan[shape][0], columns.gather)
+    for shape in reversed(order):
+        columns.at = at = columns.positions.pop(shape)
+        columns.rows[shape] = dict(zip(at, _run(columns, shape, plan[shape][0], columns.piece)))
+    return columns.rows[top][src.index]
 
 
 def program(n: int, key: SubExprKey, rounding: str = "ceil") -> Program:
@@ -308,7 +400,7 @@ def program(n: int, key: SubExprKey, rounding: str = "ceil") -> Program:
     plan: dict = {}
     _plan(rounding, plan, key.src, key.dst)
     h = ProgramBuilder()
-    return h.finish(_emit(plan, h, {}, key.src, key.dst))
+    return h.finish(_build(plan, h, key.src, key.dst))
 
 
 def expression(n: int, key: SubExprKey, rounding: str = "ceil") -> Expr:

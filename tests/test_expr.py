@@ -39,6 +39,7 @@ from srexpr import (
 )
 from srexpr.expr import (
     Program,
+    ProgramBuilder,
     _TEXT_CACHE_CHARS,
     _write_json,
     _write_text,
@@ -47,6 +48,7 @@ from srexpr.expr import (
     to_json_text,
 )
 from srexpr.graph import Terminal, basic, lower, path_count, upper
+from srexpr.oracle import check_fingerprint
 from srexpr.vda import SubExprKey, expression, program
 from test_vda import terminal_pairs
 
@@ -605,6 +607,24 @@ class TestSlotTable:
         monkeypatch.setattr("srexpr.expr.compile_program", lambda e: calls.append(e) or real(e))
         assert len(set(nodes)) == len(nodes)
         assert calls == []
+
+    def test_an_expression_is_lowered_once(self, monkeypatch):
+        # a library job counts an expression's literals, then checks it
+        e = expression(40, SubExprKey(basic(1), basic(40)))
+        builders = []
+
+        class Spy(ProgramBuilder):
+            __slots__ = ()
+
+            def __init__(self):
+                builders.append(self)
+                super().__init__()
+
+        monkeypatch.setattr("srexpr.expr.ProgramBuilder", Spy)
+        assert literal_count(e) == literal_count(program(40, SubExprKey(basic(1), basic(40))))
+        assert check_fingerprint(e, build_sr(40)).passed
+        assert compile_program(e) is compile_program(e)
+        assert len(builders) == 1
 
     def test_json_round_trip_of_sr512_costs_the_dag(self):
         # `to_json` shares one dict per slot, so `from_json` reads each once

@@ -46,7 +46,14 @@ from srexpr import (
     upper,
 )
 from srexpr.cli import main
-from srexpr.expr import Program, ProgramBuilder, compile_program, iter_expansion, to_json_text
+from srexpr.expr import (
+    Program,
+    ProgramBuilder,
+    _write_text,
+    compile_program,
+    iter_expansion,
+    to_json_text,
+)
 from srexpr.graph import _interned_terminal, _iter_path_labels
 from srexpr.vda import check_size, count_literals, program
 
@@ -546,26 +553,75 @@ class TestMidpointIsShortest:
 
 
 def program_profile(p):
-    return to_text(p), literal_count(p), len(p.children), sorted(p.labels)
+    """The text (by its digest, as SR(982)'s runs to hundreds of MB), the
+    literal count, the slot count and the sorted labels of a table."""
+    text = hashlib.sha256()
+    _write_text(p, lambda chunk: text.update(chunk.encode()))
+    return text.hexdigest(), literal_count(p), len(p.children), sorted(p.labels)
+
+
+def walked_program(n, key, rounding="ceil"):
+    """The table of E(key) built by the per-pair walk that `program` used to
+    make: every terminal pair classified and split at its own position,
+    memoized by the pair, through one `ProgramBuilder`."""
+    h, memo = ProgramBuilder(), {}
+
+    def walk(src, dst):
+        if (src, dst) not in memo:
+            kind = classify(src, dst)
+            if kind.size <= 2:
+                builder, letters = vda._BASE_BUILDERS[kind]
+                memo[src, dst] = builder(h, src.index, *letters)
+            else:
+                i = choose_split(kind, src.index, dst.index, rounding)
+                memo[src, dst] = vda._split(h, src, dst, i, walk)
+        return memo[src, dst]
+
+    return h.finish(walk(key.src, key.dst))
+
+
+def assert_children_first_and_all_reached(p):
+    """Every child slot is below its parent, and the root reaches every
+    slot and every label."""
+    reached = {p.root}
+    for k in reversed(range(len(p.children))):
+        assert all(slot < k for slot in p.children[k]), k
+        if k in reached:
+            reached.update(p.children[k])
+    assert reached - {-1} == {*range(len(p.children)), *range(-1 - len(p.labels), -1)}
 
 
 class TestProgram:
-    """`program` builds the table that `compile_program(expression(...))` lowers."""
+    """`program` builds, shape by shape, the table that the per-pair walk builds."""
 
     @pytest.mark.parametrize("rounding", ["ceil", "floor"])
     def test_whole_graph(self, rounding):
-        for n in range(1, 65):
-            built = program(n, SubExprKey(basic(1), basic(n)), rounding)
+        for n in [*range(1, 81), 200, 982, 1024]:
+            key = SubExprKey(basic(1), basic(n))
+            built = program(n, key, rounding)
             assert isinstance(built, Program)
-            expected = program_profile(compile_program(generate(n, rounding)))
-            assert program_profile(built) == expected, n
+            assert_children_first_and_all_reached(built)
+            assert program_profile(built) == program_profile(walked_program(n, key, rounding)), n
+
+    @staticmethod
+    def check_every_pair(n, rounding):
+        for src, dst in terminal_pairs(build_sr(n)):
+            key = SubExprKey(src, dst)
+            built = program(n, key, rounding)
+            assert_children_first_and_all_reached(built)
+            assert program_profile(built) == program_profile(walked_program(n, key, rounding)), key
 
     @pytest.mark.parametrize("rounding", ["ceil", "floor"])
     def test_every_sr12_pair(self, rounding):
-        for src, dst in terminal_pairs(build_sr(12)):
-            key = SubExprKey(src, dst)
-            expected = program_profile(compile_program(expression(12, key, rounding)))
-            assert program_profile(program(12, key, rounding)) == expected, key
+        self.check_every_pair(12, rounding)
+
+    @pytest.mark.parametrize("rounding", ["ceil", "floor"])
+    def test_every_sr16_pair(self, rounding):
+        self.check_every_pair(16, rounding)
+
+    @pytest.mark.parametrize("n, slots", [(982, 82507), (1024, 33305), (4096, 134585)])
+    def test_slot_counts(self, n, slots):
+        assert len(program(n, SubExprKey(basic(1), basic(n))).children) == slots
 
     def test_compile_program_returns_a_program_unchanged(self):
         built = program(16, SubExprKey(basic(1), basic(16)))
