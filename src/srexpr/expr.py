@@ -11,18 +11,19 @@ building the classes cost every CLI run about 20 ms of start-up (Python
 
 A `Program` is an expression as a table of its distinct nodes, one integer
 slot each.  `ProgramBuilder` is the one interner of such tables, after
-Filliatre & Conchon ("Type-safe modular hash-consing", 2006): `lit` makes
-one slot per label, by (letter, index), and `_intern` one per (type,
-children's slots), taken as they are: `make_sum` / `make_product` are the
-one normalizer.  Its `sum` and `product` intern what they are given, except
-that a product of leaves only waits until a sum or `finish` interns it or a
-product splices it in, so the products that the generator flattens into
-others are never made; the generator (`vda._Columns`) applies the same rule
-to a column of positions at a time, interning into the builder's own
-tables, and the tests build its reference tables through `sum` and
-`product`.  `compile_program` lowers any Expr to a table, kept on the node
-so that it is lowered once, and is the only code that walks Expr nodes; it
-and `from_json` hand each node's children's slots to `_intern`, so equal
+Filliatre & Conchon ("Type-safe modular hash-consing", 2006), and the only
+code that writes one: `lit` makes one slot per label, by (letter, index),
+and `_intern` one per (type, children's slots), taken as they are:
+`make_sum` / `make_product` are the one normalizer.  Its `sum_columns` and
+`product_columns` build a node at each position of a column of operands,
+interning in one loop, and hold the one rule the builder adds: a product
+of leaves only waits until a sum or `finish` interns it or a product
+splices it in, so the products that the generator flattens into others are
+never made.  The generator (`vda._Columns`) builds through these column
+forms, and `sum` and `product` are the same at one position.
+`compile_program` lowers any Expr to a table, kept on the node so that it
+is lowered once, and is the only code that walks Expr nodes; it and
+`from_json` hand each node's children's slots to `_intern`, so equal
 expressions lower to equal tables, `from_json` inverts `to_json`, and `==`
 of nodes compares those tables at the cost of the DAG.  A node's `hash` is
 kept on it, made once from its children's.  Literals are counted per
@@ -57,7 +58,9 @@ from __future__ import annotations
 
 import io
 import itertools
+from functools import partial, reduce
 from math import prod
+from operator import add
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -331,15 +334,22 @@ class Program:
 
 
 class ProgramBuilder:
-    """The build algebra whose values are Program slots, and the one interner
-    of tables: `lit` and `one` are leaf slots, and `sum` / `product`
-    hash-cons their operands as given through `_intern`, so a node of a type
-    and children already built is that slot.  A product of leaves only (the
-    generator flattens its size-1 parallelograms into bridge products) stays
-    the tuple of its factors' slots until a sum or `finish` interns it or a
-    product splices it in.  Other products are interned at once, in
-    post-order.  `compile_program` and `from_json` call `_intern` directly.
-    `finish` returns the builder's lists."""
+    """The build algebra whose values are Program slots, and the one owner
+    of a table being built: `lit` and `one` are leaf slots, and sums and
+    products are hash-consed, so a node of a type and children already
+    built is that slot.  Its sums and products come in two forms with one
+    rule: `sum_columns` and `product_columns` take columns, one list of
+    values per operand with one value per position, and build the node at
+    every position in one pass (the generator, `vda._Columns`, builds a
+    shape at all its positions at once); `sum` and `product` are the same
+    at one position.  Operands are taken as given, `make_sum` /
+    `make_product` being the one normalizer, except that a product of
+    leaves only (the generator flattens its size-1 parallelograms into
+    bridge products) stays the tuple of its factors' slots until a sum or
+    `finish` interns it or a product splices it in.  Other products are
+    interned at once, in post-order.  `_intern_all` interns a column of
+    keys and `_intern` one key, which `compile_program` and `from_json`
+    call directly.  `finish` returns the builder's lists."""
 
     __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
     one = -1
@@ -361,23 +371,47 @@ class ProgramBuilder:
         return slot
 
     def sum(self, addends: Iterable[int | tuple]) -> int:
-        # No comprehension and no keyword arguments to `max` here or below:
-        # either cost 0.2-0.5 us a call, a few percent of a table build.
-        flat: list[int] = []
-        for slot in addends:
-            flat.append(self._intern(1, slot) if slot.__class__ is tuple else slot)
-        return self._intern(0, tuple(flat))
+        columns = [[slot] for slot in addends]
+        return self.sum_columns(columns)[0] if columns else self._intern(0, ())
 
     def product(self, factors: Iterable[int | tuple]) -> int | tuple:
-        flat: list[int] = []
-        for slot in factors:
-            if slot.__class__ is tuple:  # a product of leaves, spliced in
-                flat += slot
+        columns = [[slot] for slot in factors]
+        return self.product_columns(columns)[0] if columns else ()
+
+    def sum_columns(self, columns: list[list]) -> list[int]:
+        """The slot of the sum over `columns`' values at each position."""
+        columns = [self._intern_all(1, c) if c[0].__class__ is tuple else c for c in columns]
+        return self._intern_all(0, zip(*columns))
+
+    def product_columns(self, columns: list[list]) -> list:
+        """The slot of the product over `columns`' values at each position,
+        or, for a product of leaves, the tuple of its factors' slots.  A
+        value is a leaf, a product of leaves or a slot alike at every
+        position, so the rule is decided on the first."""
+        parts, spliced, leaves = [], False, True
+        for column in columns:
+            if column[0].__class__ is tuple:  # a product of leaves, spliced in
+                spliced = True
+                parts.append(column)
             else:
-                flat.append(slot)
-        if not flat or max(flat) < 0:  # a product of leaves waits until it is taken
-            return tuple(flat)
-        return self._intern(1, tuple(flat))
+                leaves = leaves and column[0] < 0
+                parts.append(zip(column))
+        keys = reduce(partial(map, add), parts) if spliced else zip(*columns)
+        return list(keys) if leaves else self._intern_all(1, keys)  # a product of leaves waits
+
+    def _intern_all(self, product: int, keys: Iterable[tuple[int, ...]]) -> list[int]:
+        """`_intern(product, key)` of each key in turn, in one loop."""
+        intern = self._interned[product].setdefault
+        children, is_product = self.children, self.is_product
+        slots, new = [], len(children)
+        for key in keys:
+            slot = intern(key, new)
+            if slot == new:
+                children.append(key)
+                is_product.append(product)
+                new += 1
+            slots.append(slot)
+        return slots
 
     def _intern(self, product: int, key: tuple[int, ...]) -> int:
         """The slot of the sum (product 0) or product (1) over the slots

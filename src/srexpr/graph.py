@@ -41,8 +41,9 @@ from .errors import (
 MAX_SIZE = (1 << 257) - 1
 
 _LETTERS = ("a", "b", "c", "d", "e")
-_LABEL_RE = re.compile(r"^([abcde])([1-9][0-9]*)$")
-_TERMINAL_RE = re.compile(r"^([bul])([1-9][0-9]*)$")
+# Matched whole by `fullmatch`: a `$` would also match before a final newline.
+_LABEL_RE = re.compile(r"([abcde])([1-9][0-9]*)")
+_TERMINAL_RE = re.compile(r"([bul])([1-9][0-9]*)")
 
 
 class EdgeLabel(tuple):
@@ -75,7 +76,7 @@ class EdgeLabel(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "EdgeLabel":
-        m = _LABEL_RE.match(text)
+        m = _LABEL_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"cannot parse edge label {text!r}")
         return cls(m.group(1), int(m.group(2)))
@@ -131,7 +132,7 @@ class Terminal(tuple):
     @classmethod
     def parse(cls, text: str) -> "Terminal":
         """Parse the short form used on the command line: b1, u3, l5."""
-        m = _TERMINAL_RE.match(text)
+        m = _TERMINAL_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"cannot parse terminal {text!r} (expected e.g. b1, u3, l5)")
         return _interned_terminal(TerminalKind(m.group(1)), int(m.group(2)))

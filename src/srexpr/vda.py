@@ -45,7 +45,9 @@ plan and builds the slot table one shape at a time, without expression
 nodes: going down by span it gathers each shape's source positions, and
 going up it runs each shape's step once, at source index 1, in `_Columns`,
 the algebra whose values are columns of slots over all of the shape's
-positions.  `expression`/`generate` turn that table into an Expr.  Each
+positions: it places labels and pieces, and its sums and products are the
+builder's column forms, so the builder alone interns and normalizes.
+`expression`/`generate` turn that table into an Expr.  Each
 call owns its plan, rows and table, so concurrent calls are independent.
 A plan is keyed by shape alone, so the counts of several
 subgraphs, of any sizes, can share one (`complexity.generated_counts`).
@@ -53,9 +55,9 @@ subgraphs, of any sizes, can share one (`complexity.generated_counts`).
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import partial
 from itertools import repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import BaseCaseExpectedError, DomainError, RangeError
@@ -125,15 +127,17 @@ def _sl_to_basic_size2(h, p: int, e, d, c, a):
 
 
 def _trap_size2(h, p: int, e, d, c, a):
+    return h.sum(_trap_size2_addends(h, p, e, d, c, a))
+
+
+def _trap_size2_addends(h, p: int, e, d, c, a) -> list:
     # e_(2p) (b_(p+1) + d_(2p+1) d_(2p+2)) e_(2p+3)
     #   + (c_p + e_(2p) e_(2p+1)) (c_(p+1) + e_(2p+2) e_(2p+3))
     middle = h.sum([h.lit("b", p + 1), h.product([h.lit(d, 2 * p + 1), h.lit(d, 2 * p + 2)])])
-    return h.sum(
-        [
-            h.product([h.lit(e, 2 * p), middle, h.lit(e, 2 * p + 3)]),
-            h.product([_trap_size1(h, p, e, d, c, a), _trap_size1(h, p + 1, e, d, c, a)]),
-        ]
-    )
+    return [
+        h.product([h.lit(e, 2 * p), middle, h.lit(e, 2 * p + 3)]),
+        h.product([_trap_size1(h, p, e, d, c, a), _trap_size1(h, p + 1, e, d, c, a)]),
+    ]
 
 
 def _para_size2(h, p: int, e, d, c, a):
@@ -210,8 +214,8 @@ def reference_trap_base_variant(key: SubExprKey) -> Expr:
     if kind.size != 2 or not kind.is_trapezoidal:
         raise ValueError(f"{key.src}->{key.dst} is not a size-2 trapezoid")
     e, d, c, a = _BASE_BUILDERS[(kind.family, 2)][1]
-    first, _ = _trap_size2(_NODES, key.src.index, e, d, c, a).children
-    _, second = _trap_size2(_NODES, key.src.index, d, e, a, c).children
+    first, _ = _trap_size2_addends(_NODES, key.src.index, e, d, c, a)
+    _, second = _trap_size2_addends(_NODES, key.src.index, d, e, a, c)
     return Sum((first, second))
 
 
@@ -303,19 +307,20 @@ def _run(h, shape: tuple, step, piece):
 class _Columns:
     """The algebra in which `_build` runs a shape's step once for all of its
     source positions `at`, as if at source index 1.  A value is a column: a
-    node's value in `h` at each position in turn.  A label's index at source
-    p is its index at 1 moved p - 1 columns, where column p of SR holds b_p,
-    c_p and a_p but e and d labels 2p-1 and 2p.  A piece is read off the row
-    of its shape, built before it, and the row is dropped after its last
-    reader.  Whether a value is a leaf, a product of leaves or a slot is the
-    same at every position of a shape, so `ProgramBuilder`'s rule for
-    products of leaves is decided once per column, on its first position,
-    and a column's keys are interned in one loop."""
+    node's value in the builder `h` at each position in turn, and its `sum`
+    and `product` are `h`'s column forms, which intern and normalize.  What
+    belongs to the generator is kept here: the positions (`gather`), the
+    labels (`lit`: a label's index at source p is its index at 1 moved p - 1
+    columns, where column p of SR holds b_p, c_p and a_p but e and d labels
+    2p-1 and 2p), the unit column, and the pieces (`piece`: read off the row
+    of the piece's shape, built before it, and the row is dropped after its
+    last reader)."""
 
-    __slots__ = ("h", "at", "positions", "readers", "rows")
+    __slots__ = ("h", "sum", "product", "at", "positions", "readers", "rows")
 
     def __init__(self, h: ProgramBuilder, positions: dict) -> None:
         self.h, self.positions, self.readers, self.rows = h, positions, {}, {}
+        self.sum, self.product = h.sum_columns, h.product_columns
 
     def gather(self, src: Terminal, dst: Terminal) -> int:
         """`piece` for the step run in `_COUNT`: add the positions `at`,
@@ -342,36 +347,6 @@ class _Columns:
         if not self.readers[shape]:
             del self.rows[shape]
         return list(map(row.__getitem__, map((src.index - 1).__add__, self.at)))
-
-    def sum(self, columns: list[list]) -> list[int]:
-        columns = [self._intern(1, c) if c[0].__class__ is tuple else c for c in columns]
-        return self._intern(0, zip(*columns))
-
-    def product(self, columns: list[list]) -> list:
-        parts, spliced, leaves = [], False, True
-        for column in columns:
-            if column[0].__class__ is tuple:  # a product of leaves, spliced in
-                spliced = True
-                parts.append(column)
-            else:
-                leaves = leaves and column[0] < 0
-                parts.append(zip(column))
-        keys = reduce(partial(map, add), parts) if spliced else zip(*columns)
-        return list(keys) if leaves else self._intern(1, keys)  # a product of leaves waits
-
-    def _intern(self, product: int, keys) -> list[int]:
-        """`h._intern(product, key)` of each key in turn."""
-        h = self.h
-        intern, children, is_product = h._interned[product].setdefault, h.children, h.is_product
-        slots, new = [], len(children)
-        for key in keys:
-            slot = intern(key, new)
-            if slot == new:
-                children.append(key)
-                is_product.append(product)
-                new += 1
-            slots.append(slot)
-        return slots
 
 
 def _build(plan: dict, h: ProgramBuilder, src: Terminal, dst: Terminal):

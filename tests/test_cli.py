@@ -90,6 +90,7 @@ class TestGen:
     def test_unparsable_terminals_exit_2(self, capsys):
         assert run(capsys, "gen", "5", "--sub", "x1,y2")[0] == 2
         assert run(capsys, "gen", "5", "--sub", "b1")[0] == 2
+        assert run(capsys, "gen", "5", "--sub", "b1,b3\n")[0] == 2
 
     def test_deterministic(self, capsys):
         first = run(capsys, "gen", "12", "--output", "json")

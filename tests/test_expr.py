@@ -454,6 +454,7 @@ class TestJson:
             {"sum": []},
             {"prod": "ab"},
             {"prod": [{"lit": "b1"}, {"lit": None}]},
+            {"sum": [{"lit": "b1\n"}, {"lit": "e1"}]},
         )
         for obj in malformed:
             with pytest.raises(MalformedExpressionError):

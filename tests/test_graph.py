@@ -363,6 +363,13 @@ class TestParsing:
         for text in ("a1", "e12"):
             assert str(EdgeLabel.parse(text)) == text
 
+    def test_a_trailing_newline_is_refused(self):
+        # A pattern ending in `$` also matches before a final newline.
+        with pytest.raises(ValueError):
+            EdgeLabel.parse("b1\n")
+        with pytest.raises(ValueError):
+            Terminal.parse("u3\n")
+
     def test_edge_label_rejects_a_letter_outside_the_graph(self):
         with pytest.raises(ValueError, match="edge letter must be one of"):
             EdgeLabel("x", 1)

@@ -1,6 +1,9 @@
 """Property tests: the count fold, the JSON round trip, node equality, the
-two table converters, the two oracles and the graph's table on random
-inputs."""
+two table converters, the two oracles, the graph's table and the command
+line on random inputs."""
+
+import contextlib
+import io
 
 import pytest
 
@@ -24,6 +27,7 @@ from srexpr import (  # noqa: E402
     literal_count,
     to_json,
 )
+from srexpr.cli import main  # noqa: E402
 from srexpr.expr import Program, compile_program, to_expr  # noqa: E402
 from srexpr.graph import (  # noqa: E402
     LabeledDigraph,
@@ -34,8 +38,8 @@ from srexpr.graph import (  # noqa: E402
     classify,
     path_count,
 )
-from srexpr.oracle import _shape, graph_program  # noqa: E402
-from srexpr.vda import SubExprKey, count_literals, expression  # noqa: E402
+from srexpr.oracle import MAX_TRIALS, _MILLER_RABIN_LIMIT, _shape, graph_program  # noqa: E402
+from srexpr.vda import MAX_SIZE, SubExprKey, count_literals, expression  # noqa: E402
 from test_oracle import assert_same_report, reference_check_exact  # noqa: E402
 
 ROUNDINGS = st.sampled_from(["ceil", "floor"])
@@ -244,3 +248,81 @@ def test_graph_program_is_the_path_polynomial(g, rng):
         assert_same_report(report, reference_check_exact(dropped, g))
         assert not check_fingerprint(dropped, g, trials=3).passed
 
+
+
+# Sizes for the commands that build: the CLI predicts no table or graph size
+# yet, so a huge n would run until memory ran out.
+BUILT_SIZES = st.integers(-3, 24)
+# Sizes where the CLI refuses before it builds, or only counts.
+ANY_SIZES = BUILT_SIZES | st.integers(-(2**300), 2**300) | st.sampled_from([MAX_SIZE, MAX_SIZE + 1])
+
+
+@st.composite
+def terminal_pairs(draw, indices):
+    """A `--sub` value: two terminals with indices from `indices`, or any
+    text over terminal characters, spaces and newlines."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="bulx0123456789-, \n", max_size=10))
+    rows = st.sampled_from("bul")
+    pair = f"{draw(rows)}{draw(indices)},{draw(rows)}{draw(indices)}"
+    return pair + draw(st.sampled_from(["", "\n", " "]))
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for one of the five commands, with sizes that go huge only
+    where the command refuses them before building or only counts."""
+    command = draw(st.sampled_from(["gen", "verify", "table", "closed-form", "dot"]))
+    output = draw(st.sampled_from([[], ["--output", "json"], ["--output", "text"]]))
+    rounding = draw(st.sampled_from([[], [], ["--rounding", "floor"], ["--rounding", "round"]]))
+    if command == "gen":
+        count_only = draw(st.booleans())
+        sizes = ANY_SIZES if count_only else BUILT_SIZES
+        argv = ["gen", str(draw(sizes)), *output, *rounding]
+        argv += ["--count-only"] if count_only else []
+        argv += ["--juxtapose"] if draw(st.booleans()) else []
+        if draw(st.booleans()):
+            argv += ["--sub", draw(terminal_pairs(sizes))]
+    elif command == "verify":
+        argv = ["verify", *output, *rounding]
+        if draw(st.booleans()):  # exact: past its --limit, any size is refused
+            limit = draw(st.none() | st.integers(-3, 10**6) | st.integers(0, 2**300))
+            refused = limit is None or limit <= 10**6
+            argv += [str(draw(ANY_SIZES if refused else BUILT_SIZES))]
+            argv += [] if limit is None else ["--limit", str(limit)]
+        else:
+            trials = draw(st.integers(-2, 10) | st.integers(MAX_TRIALS + 1, 2**80))
+            prime = draw(
+                st.sampled_from([DEFAULT_PRIME, 1180591620717411303449])
+                | st.integers(-3, 200)
+                | st.integers(_MILLER_RABIN_LIMIT, 2**200)
+            )
+            refused = trials > MAX_TRIALS or prime >= _MILLER_RABIN_LIMIT
+            argv += [str(draw(ANY_SIZES if refused else BUILT_SIZES)), "--mode", "fingerprint"]
+            argv += ["--trials", str(trials)]
+            argv += [] if prime == DEFAULT_PRIME else ["--prime", str(prime)]
+            argv += ["--seed", str(draw(st.integers(-(2**70), 2**70)))]
+    elif command == "table":
+        bounds = st.integers(-2, 12) | st.integers(-(2**300), 2**300)
+        argv = ["table", "--from", str(draw(bounds)), "--to", str(draw(bounds)), *output]
+    elif command == "closed-form":
+        k = draw(st.integers(-3, 260) | st.integers(-(2**300), 2**300))
+        argv = ["closed-form", "--k", str(k), *output]
+    else:
+        argv = ["dot", str(draw(BUILT_SIZES))]
+        if draw(st.booleans()):
+            argv += ["--sub", draw(terminal_pairs(st.integers(-3, 30)))]
+    return argv
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(cli_argvs())
+def test_the_cli_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue()[-2000:])
+    assert "Traceback" not in err.getvalue(), argv

@@ -8,6 +8,7 @@ import pstats
 import sys
 import threading
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from srexpr import (
     Family,
     InvalidSizeError,
     Lit,
+    ONE,
     One,
     OrderingError,
     RangeError,
@@ -39,6 +41,8 @@ from srexpr import (
     induced_subgraph,
     literal_count,
     lower,
+    make_product,
+    make_sum,
     reference_trap_base_variant,
     single_leaf_count,
     sr_count,
@@ -560,24 +564,36 @@ def program_profile(p):
     return text.hexdigest(), literal_count(p), len(p.children), sorted(p.labels)
 
 
+# The algebra of normalized expression nodes: `make_sum` / `make_product`
+# flatten every nested sum and product, drop units from products and collapse
+# single children, independently of `ProgramBuilder`'s sums and products.
+NORMALIZED_NODES = SimpleNamespace(
+    lit=lambda letter, index: Lit(EdgeLabel(letter, index)),
+    one=ONE,
+    sum=make_sum,
+    product=make_product,
+)
+
+
 def walked_program(n, key, rounding="ceil"):
     """The table of E(key) built by the per-pair walk that `program` used to
     make: every terminal pair classified and split at its own position,
-    memoized by the pair, through one `ProgramBuilder`."""
-    h, memo = ProgramBuilder(), {}
+    memoized by the pair, in `NORMALIZED_NODES`, and the expression lowered
+    by `compile_program`."""
+    memo = {}
 
     def walk(src, dst):
         if (src, dst) not in memo:
             kind = classify(src, dst)
             if kind.size <= 2:
                 builder, letters = vda._BASE_BUILDERS[kind]
-                memo[src, dst] = builder(h, src.index, *letters)
+                memo[src, dst] = builder(NORMALIZED_NODES, src.index, *letters)
             else:
                 i = choose_split(kind, src.index, dst.index, rounding)
-                memo[src, dst] = vda._split(h, src, dst, i, walk)
+                memo[src, dst] = vda._split(NORMALIZED_NODES, src, dst, i, walk)
         return memo[src, dst]
 
-    return h.finish(walk(key.src, key.dst))
+    return compile_program(walk(key.src, key.dst))
 
 
 def assert_children_first_and_all_reached(p):
@@ -630,8 +646,8 @@ class TestProgram:
     def test_product_flattened_into_a_product_is_never_made(self):
         # A size-1 parallelogram is a product, flattened into every parent.
         h = ProgramBuilder()
-        inner = h.product([h.lit("e", 2), h.lit("d", 3)])
-        root = h.product([h.lit("b", 1), inner])
+        inner = h.product_columns([[h.lit("e", 2)], [h.lit("d", 3)]])
+        (root,) = h.product_columns([[h.lit("b", 1)], inner])
         assert h.children == []
         finished = h.finish(root)
         assert finished.children == ((-4, -2, -3),)
@@ -640,11 +656,38 @@ class TestProgram:
     def test_finish_is_the_builders_lists(self):
         h = ProgramBuilder()
         h.lit("c", 1)
-        root = h.sum([h.lit("b", 1), h.product([h.lit("b", 2), h.lit("b", 3)])])
+        (root,) = h.sum_columns(
+            [[h.lit("b", 1)], h.product_columns([[h.lit("b", 2)], [h.lit("b", 3)]])]
+        )
         finished = h.finish(root)
         assert [str(label) for label in finished.labels] == ["c1", "b1", "b2", "b3"]
         assert (finished.children, finished.root) == (((-4, -5), (-3, 0)), 1)
         assert (finished.labels, finished.children) == (tuple(h._labels), tuple(h.children))
+
+    def test_columns_build_each_position_as_the_scalar_ops_do(self):
+        columnar = ProgramBuilder()
+        b, e, d = ([columnar.lit(letter, index) for index in (1, 2)] for letter in "bed")
+        leaves = columnar.product_columns([e, d])
+        inner = columnar.sum_columns([b, leaves])
+        roots = columnar.sum_columns([columnar.product_columns([leaves, inner, b]), b])
+        for index, root in zip((1, 2), roots):
+            h = ProgramBuilder()
+            b_k, e_k, d_k = (h.lit(letter, index) for letter in "bed")
+            leaf_product = h.product([e_k, d_k])
+            scalar = h.sum([h.product([leaf_product, h.sum([b_k, leaf_product]), b_k]), b_k])
+            text = to_text(h.finish(scalar))
+            assert text == f"e{index}*d{index}*(b{index}+e{index}*d{index})*b{index}+b{index}"
+            assert to_text(columnar.finish(root)) == text
+
+    def test_empty_operand_lists(self):
+        # Column forms cannot say "no operands", so the scalar ops keep their
+        # own results: an empty sum slot, and an empty product that waits.
+        h = ProgramBuilder()
+        empty_sum = h.sum([])
+        assert (h.children[empty_sum], h.is_product[empty_sum]) == ((), 0)
+        assert h.product([]) == ()
+        assert h.children == [()]
+        assert h.finish(h.product([])).children == ((), ())
 
     @pytest.mark.parametrize("rounding", ["ceil", "floor"])
     def test_tables_are_in_normal_form(self, rounding):
