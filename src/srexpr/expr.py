@@ -12,15 +12,16 @@ building the classes cost every CLI run about 20 ms of start-up (Python
 A `Program` is an expression as a table of its distinct nodes, one integer
 slot each.  `ProgramBuilder` is the one interner of such tables, after
 Filliatre & Conchon ("Type-safe modular hash-consing", 2006), and the only
-code that writes one: `lit` makes one slot per label, by (letter, index),
-and `_intern` one per (type, children's slots), taken as they are:
-`make_sum` / `make_product` are the one normalizer.  Its `sum_columns` and
-`product_columns` build a node at each position of a column of operands,
-interning in one loop, and hold the one rule the builder adds: a product
-of leaves only waits until a sum or `finish` interns it or a product
-splices it in, so the products that the generator flattens into others are
-never made.  The generator (`vda._Columns`) builds through these column
-forms, and `sum` and `product` are the same at one position.
+code that writes one: `lit` makes one slot per label, kept by letter and
+then index, and `_intern` one per (type, children's slots), taken as they
+are: `make_sum` / `make_product` are the one normalizer.  Its
+`lit_column`, `sum_columns` and `product_columns` build a node at each
+position of a column of operands, interning in one loop, and the last two
+hold the one rule the builder adds: a product of leaves only waits until a
+sum or `finish` interns it or a product splices it in, so the products
+that the generator flattens into others are never made.  The generator
+(`vda._Columns`) builds through these column forms, and `lit`, `sum` and
+`product` are the same at one position.
 `compile_program` lowers any Expr to a table, kept on the node so that it
 is lowered once, and is the only code that walks Expr nodes; it and
 `from_json` hand each node's children's slots to `_intern`, so equal
@@ -65,7 +66,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import CapacityError, DomainError, MalformedExpressionError, UnboundLabelError
-from .graph import EdgeLabel, _check_limit
+from .graph import _LETTERS, EdgeLabel, _check_limit, _without_gc
 
 #: Default field modulus for evaluation: the Mersenne prime 2**61 - 1.
 DEFAULT_PRIME = (1 << 61) - 1
@@ -275,6 +276,13 @@ def expand(e: Expr | Program, limit: int = 10**6) -> list[Monomial]:
     return list(iter_expansion(program))
 
 
+def _check_modulus(prime: int) -> None:
+    """Raise DomainError unless `prime` is an int (not a bool) of at least
+    2: the one rule for a modulus of `Program.run` and `oracle.SplitMix64`."""
+    if type(prime) is not int or prime < 2:
+        raise DomainError(f"the modulus must be an int >= 2, got {prime!r}")
+
+
 class Program:
     """An expression as a table of slots, one per distinct node.
 
@@ -316,8 +324,7 @@ class Program:
 
     def run(self, assignment: Mapping[EdgeLabel, int], prime: int = DEFAULT_PRIME) -> int:
         """Value of the expression modulo `prime`; see `evaluate`."""
-        if type(prime) is not int or prime < 2:
-            raise DomainError(f"the modulus must be an int >= 2, got {prime!r}")
+        _check_modulus(prime)
         values = [0] * len(self.children)
         try:
             values += [assignment[label] % prime for label in reversed(self.labels)]
@@ -349,13 +356,18 @@ class ProgramBuilder:
     `finish` interns it or a product splices it in.  Other products are
     interned at once, in post-order.  `_intern_all` interns a column of
     keys and `_intern` one key, which `compile_program` and `from_json`
-    call directly.  `finish` returns the builder's lists."""
+    call directly.  Label slots are kept in one dict per letter, by index:
+    `lit_column` maps a column of one letter's indices through it in one
+    call, and only a label not seen before takes the loop in `_new_lit`,
+    which numbers labels in the order they are first met; the scalar `lit`
+    reads the same dict.  `finish` returns the builder's lists."""
 
     __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
     one = -1
 
     def __init__(self) -> None:
-        self._label_slots: dict[tuple[str, int], int] = {}
+        # The label slots of each letter, by index.
+        self._label_slots: dict[str, dict[int, int]] = {letter: {} for letter in _LETTERS}
         self._labels: list[EdgeLabel] = []
         # The slots of sums and of products, by their children.
         self._interned: tuple[dict[tuple[int, ...], int], ...] = ({}, {})
@@ -363,11 +375,29 @@ class ProgramBuilder:
         self.children: list[tuple[int, ...]] = []
 
     def lit(self, letter: str, index: int) -> int:
-        key = (letter, index)
-        slot = self._label_slots.get(key)
+        slot = self._label_slots[letter].get(index)
+        return self._new_lit(letter, index) if slot is None else slot
+
+    def lit_column(self, letter: str, indices: list[int]) -> list[int]:
+        """The slot of the label (letter, index) for each of `indices` in
+        turn: one lookup in the letter's slots maps the column, and only the
+        labels not seen before take a loop."""
+        column = list(map(self._label_slots[letter].get, indices))
+        if None in column:
+            for k, slot in enumerate(column):
+                if slot is None:
+                    column[k] = self._new_lit(letter, indices[k])
+        return column
+
+    def _new_lit(self, letter: str, index: int) -> int:
+        """The slot of (letter, index), a new one if the label is new:
+        label slots count down from -2 in the order labels are first met."""
+        slots = self._label_slots[letter]
+        slot = slots.get(index)
         if slot is None:
-            slot = self._label_slots[key] = -2 - len(self._labels)
-            self._labels.append(EdgeLabel(letter, index))
+            label = EdgeLabel(letter, index)
+            slot = slots[index] = -2 - len(self._labels)
+            self._labels.append(label)
         return slot
 
     def sum(self, addends: Iterable[int | tuple]) -> int:
@@ -447,6 +477,7 @@ def to_expr(program: Program) -> Expr:
     return _fold(program, _NODES)
 
 
+@_without_gc
 def compile_program(e: Expr | Program) -> Program:
     """Lower `e` to a Program, hash-consed: a slot per distinct label and per
     distinct (type, children's slots) sum or product, in post-order, with
@@ -477,7 +508,12 @@ def compile_program(e: Expr | Program) -> Program:
             slot_of[id(node)] = slot
         return slot
 
-    program = h.finish(visit(e))
+    try:
+        program = h.finish(visit(e))
+    finally:
+        # `visit` calls itself through its closure, a reference cycle that
+        # would hold `h` and `slot_of` until the collector ran.
+        del visit
     object.__setattr__(e, "_program", program)
     return program
 
@@ -492,6 +528,7 @@ def evaluate(
     return compile_program(e).run(assignment, prime)
 
 
+@_without_gc
 def _fold(program: Program, h):
     """The root's value in the algebra `h`: `h.lit(letter, index)` at a
     label's slot and `h.one` at the unit's, then, at each slot k in slot

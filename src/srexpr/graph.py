@@ -15,15 +15,21 @@ endpoints.  Edge labels keep their global indices inside subgraphs, so
 subexpressions compose without relabeling.
 
 Graphs are immutable after construction and all operations here are pure
-functions; everything is safe to share across threads.
+functions; everything is safe to share across threads.  `_without_gc`
+pauses the cyclic garbage collector in the passes that cannot make a
+reference cycle (here `build_sr` and `induced_subgraph`, and the table
+builds and checks of `expr`, `vda` and `oracle`).  The collector's switch is
+process-wide: calls in other threads can change only when it runs, never
+what is computed.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import heapq
 import re
-from functools import lru_cache
+from functools import lru_cache, wraps
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -35,6 +41,28 @@ from .errors import (
     OrderingError,
     RangeError,
 )
+
+
+def _without_gc(fn):
+    """`fn` run with the cyclic garbage collector paused: it is turned off
+    for the call and back on afterwards, also when the call raises, unless
+    the caller had turned it off already.  For the passes that make many
+    containers and no reference cycle, where the collector's scans of the
+    young objects are pure cost.  A cycle made meanwhile is collected once
+    the collector is back on."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
 
 # The largest size accepted.  The recursions take one or two stack frames per bit
 # of the size: at closed-form's n = 2**256 they use half the default limit.
@@ -371,6 +399,7 @@ def _check_limit(limit: int) -> None:
         raise DomainError(f"the limit must be an int, got {limit!r}")
 
 
+@_without_gc
 def build_sr(n: int) -> LabeledDigraph:
     """Build the square rhomboid of size n (n basic vertices, 3n-2 total).
 
@@ -394,6 +423,7 @@ def build_sr(n: int) -> LabeledDigraph:
     return LabeledDigraph(vertices, edges, basic(1), basic(n))
 
 
+@_without_gc
 def induced_subgraph(g: LabeledDigraph, src: Terminal, dst: Terminal) -> LabeledDigraph:
     """The subgraph of everything lying on a directed src-to-dst path.
 

@@ -25,8 +25,9 @@ Two independent oracles:
     (1.125 deg(E - G)/(p_i - 1) at the default prime, 2**61 - 1), and the
     check does with at most the product of these bounds.  That needs E - G
     nonzero modulo p_i: a difference whose coefficients are all multiples
-    of p_i passes the trial.  Up to ten trials share one evaluation pass,
-    modulo the product of their primes (Chinese remainder theorem).
+    of p_i passes the trial.  The trials run in the fewest evaluation
+    passes of at most `_LANES` (6) trials, of near-equal width, each pass
+    modulo the product of its trials' primes (Chinese remainder theorem).
 
 The graph's path polynomial is a Program too, `graph_program(g)`, so each
 oracle reads the graph by a pass it makes over the expression.
@@ -55,19 +56,28 @@ from .expr import (
     Monomial,
     Program,
     _COUNT,
+    _check_modulus,
     _fold,
     _shape,
     compile_program,
     evaluate,
 )
-from .graph import LabeledDigraph, _check_limit, path_length_range
+from .graph import LabeledDigraph, _check_limit, _without_gc, path_length_range
 
 _MASK64 = (1 << 64) - 1
 
-# Trials that share one evaluation pass.  At SR(217) a pass of 8 to 10 lanes
-# costs the least per trial (4.6 ms, against 12.5 ms for one lane alone);
-# at 64 lanes the wider numbers make it dearer than separate passes.
-_LANES = 10
+# The most trials that share one evaluation pass.  A pass over both tables of
+# SR(251) (14,602 slots in the expression's), per trial, best of 7 on a
+# 2-vCPU VM (Python 3.11):
+#
+#   lanes         1     2     3     4     5     6     7     8    10    12
+#   ms a trial  8.0   4.6   3.7   3.2   3.1   3.0   3.1   3.2   3.4   3.7
+#
+# and at SR(982) 45 ms at one lane, 18.5 at 5, 18.0 at 6 and 20.4 at 10:
+# past 6 the wider numbers cost more than the shared loop saves.
+# `check_fingerprint` splits its trials into the fewest passes of at most
+# this many, of near-equal width (10 trials as 5 + 5, 25 as five of 5).
+_LANES = 6
 
 # The most trials a fingerprint check runs: each keeps a row of its transcript.
 MAX_TRIALS = 10_000
@@ -131,11 +141,29 @@ class SplitMix64:
         """A nonzero element of Z_prime: 1 + w mod (prime - 1), where w is
         made of the fewest 64-bit words whose range W = 2**(64 * words)
         covers prime - 1, one word up to prime 2**64 + 1.  So no residue is
-        drawn with probability above ceil(W / (prime - 1)) / W."""
+        drawn with probability above ceil(W / (prime - 1)) / W.  A modulus
+        that `Program.run` refuses raises DomainError."""
+        _check_modulus(prime)
         w, span = self.next_u64(), 1 << 64
         while span < prime - 1:
             w, span = w << 64 | self.next_u64(), span << 64
         return 1 + w % (prime - 1)
+
+    def field_elements(self, prime: int, count: int) -> list[int]:
+        """`count` calls of `field_element(prime)`, in one loop: the same
+        values, and the generator left in the same state.  The modulus is
+        checked once; a prime past 2**64 + 1 takes `field_element` a draw."""
+        _check_modulus(prime)
+        if prime - 1 > 1 << 64:
+            return [self.field_element(prime) for _ in range(count)]
+        state, modulus, values = self._state, prime - 1, []
+        for _ in range(count):  # `next_u64`, inlined
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            values.append(1 + (z ^ (z >> 31)) % modulus)
+        self._state = state
+        return values
 
 
 def graph_program(g: LabeledDigraph | Program) -> Program:
@@ -275,6 +303,7 @@ def _expression_codes(program: Program, code: Mapping[EdgeLabel, int]) -> list[i
     return _fold(program, h)
 
 
+@_without_gc
 def check_exact(
     e: Expr | Program, g: LabeledDigraph | Program, limit: int = 10**6
 ) -> VerificationReport:
@@ -405,6 +434,7 @@ def _primes_from(p: int) -> Iterator[int]:
             p += 1
 
 
+@_without_gc
 def check_fingerprint(
     e: Expr | Program,
     g: LabeledDigraph | Program,
@@ -419,11 +449,13 @@ def check_fingerprint(
     for every label of `g` or `e` (in sorted order, from a per-trial
     generator seeded off the master seed) and compares the values of the
     two tables, `compile_program(e)` and `graph_program(g)`, modulo p_i.
-    Up to `_LANES` trials share one pass over each table: the Chinese
-    remainder theorem combines each label's values into one modulo the
-    product M of the batch's primes, both tables run once modulo M, and
-    trial i's value is the result modulo p_i.  Primes and draws are made a
-    batch at a time, so a check that fails early pays for no later batch.
+    The trials are split into the fewest batches of at most `_LANES`, of
+    near-equal width (10 trials as 5 + 5, 25 as five of 5), and a batch
+    shares one pass over each table: the Chinese remainder theorem combines
+    each label's values into one modulo the product M of the batch's
+    primes, both tables run once modulo M, and trial i's value is the
+    result modulo p_i.  Primes and draws are made a batch at a time, so a
+    check that fails early pays for no later batch.
     The transcript of every trial is kept in the report detail, so identical
     (seed, trials, prime) yield identical reports.  When E - G, the
     difference of the two polynomials, is nonzero modulo every p_i, a pass
@@ -450,18 +482,16 @@ def check_fingerprint(
     program = compile_program(e)
     graph = graph_program(g)
     labels = sorted(set(graph.labels).union(program.labels))
-    names = [f"{label}=" for label in labels]
+    names = [f"{letter}{index}=" for letter, index in labels]
     master = SplitMix64(seed)
     transcript: list[dict] = []
     witness = None
     moduli = _primes_from(prime)
-    for start in range(0, trials, _LANES):
-        primes = list(islice(moduli, min(_LANES, trials - start)))
+    width = -(-trials // -(-trials // _LANES))  # the fewest passes, of near-equal width
+    for start in range(0, trials, width):
+        primes = list(islice(moduli, min(width, trials - start)))
         seeds = [master.next_u64() for _ in primes]
-        draws = []
-        for trial_seed, p_i in zip(seeds, primes):
-            rng = SplitMix64(trial_seed)
-            draws.append([rng.field_element(p_i) for _ in labels])
+        draws = [SplitMix64(s).field_elements(p_i, len(labels)) for s, p_i in zip(seeds, primes)]
         modulus = prod(primes)
         # c_i is 1 modulo p_i and 0 modulo every other prime of the batch.
         crt = [modulus // p_i * pow(modulus // p_i, -1, p_i) for p_i in primes]

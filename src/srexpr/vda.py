@@ -56,7 +56,6 @@ subgraphs, of any sizes, can share one (`complexity.generated_counts`).
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -68,6 +67,7 @@ from .graph import (  # MAX_SIZE and check_size are re-exported: the CLI reads t
     SubgraphKind,
     Terminal,
     TerminalKind,
+    _without_gc,
     basic,
     check_size,
     classify,
@@ -312,7 +312,8 @@ class _Columns:
     belongs to the generator is kept here: the positions (`gather`), the
     labels (`lit`: a label's index at source p is its index at 1 moved p - 1
     columns, where column p of SR holds b_p, c_p and a_p but e and d labels
-    2p-1 and 2p), the unit column, and the pieces (`piece`: read off the row
+    2p-1 and 2p; the column of indices goes to the builder's `lit_column`),
+    the unit column, and the pieces (`piece`: read off the row
     of the piece's shape, built before it, and the row is dropped after its
     last reader)."""
 
@@ -333,8 +334,8 @@ class _Columns:
 
     def lit(self, letter: str, index: int) -> list[int]:
         stride = 2 if letter in "de" else 1
-        indices = map((index - stride).__add__, map(stride.__mul__, self.at))
-        return list(map(self.h.lit, repeat(letter), indices))
+        indices = [*map((index - stride).__add__, map(stride.__mul__, self.at))]
+        return self.h.lit_column(letter, indices)
 
     @property
     def one(self) -> list[int]:
@@ -368,6 +369,7 @@ def _build(plan: dict, h: ProgramBuilder, src: Terminal, dst: Terminal):
     return columns.rows[top][src.index]
 
 
+@_without_gc
 def program(n: int, key: SubExprKey, rounding: str = "ceil") -> Program:
     """The slot table of `expression(n, key, rounding)`, built straight into
     a `ProgramBuilder` without making an expression node."""
@@ -378,6 +380,7 @@ def program(n: int, key: SubExprKey, rounding: str = "ceil") -> Program:
     return h.finish(_build(plan, h, key.src, key.dst))
 
 
+@_without_gc
 def expression(n: int, key: SubExprKey, rounding: str = "ceil") -> Expr:
     """Factored expression for the subgraph of SR(n) between key.src and key.dst."""
     return to_expr(program(n, key, rounding))

@@ -1,5 +1,6 @@
 """Oracle tests: DP evaluation, exact check, fingerprint check, determinism."""
 
+import gc
 import hashlib
 import json
 import math
@@ -12,6 +13,8 @@ from srexpr import (
     DEFAULT_PRIME,
     DomainError,
     EdgeLabel,
+    EmptySubgraphError,
+    InvalidSizeError,
     Lit,
     Monomial,
     ONE,
@@ -23,6 +26,7 @@ from srexpr import (
     Sum,
     UnboundLabelError,
     VerificationReport,
+    basic,
     build_sr,
     check_exact,
     check_fingerprint,
@@ -44,8 +48,9 @@ from srexpr import (
     to_json,
     upper,
 )
+from srexpr import expr, graph, oracle, vda
 from srexpr.expr import Program, compile_program
-from srexpr.graph import _iter_path_labels
+from srexpr.graph import _iter_path_labels, _without_gc
 from srexpr.oracle import MAX_TRIALS, check_fingerprint_parameters, graph_program, is_prime
 
 # Standard first outputs of the split-mix construction.
@@ -165,6 +170,29 @@ class TestSplitMix:
         assert sum(v > 2**64 for v in values) > 900
         report = check_fingerprint(generate(30), build_sr(30), trials=3, prime=prime)
         assert report.passed and report.prime == prime
+
+    # 2**64 + 1 is the largest modulus of one word a draw; the least prime
+    # above 2**70 takes two.
+    @pytest.mark.parametrize(
+        "prime",
+        [DEFAULT_PRIME, 2**64 - 59, 2**64 + 1, 1180591620717411303449],
+        ids=["default", "below-2**64", "2**64+1", "above-2**70"],
+    )
+    def test_a_column_of_draws_is_that_many_single_draws(self, prime):
+        column, single = SplitMix64(11), SplitMix64(11)
+        assert column.field_elements(prime, 50) == [single.field_element(prime) for _ in range(50)]
+        assert column.next_u64() == single.next_u64()
+        assert column.field_elements(prime, 0) == []
+        assert column.next_u64() == single.next_u64()
+
+    @pytest.mark.parametrize("modulus", [0, -5, 2.5, 1, True])
+    def test_a_modulus_that_is_not_an_int_of_at_least_two_is_refused(self, modulus):
+        rng = SplitMix64(7)
+        with pytest.raises(DomainError, match="the modulus must be an int >= 2"):
+            rng.field_element(modulus)
+        with pytest.raises(DomainError, match="the modulus must be an int >= 2"):
+            rng.field_elements(modulus, 3)
+        assert rng.next_u64() == SplitMix64(7).next_u64()  # nothing was drawn
 
 
 class TestDpEval:
@@ -650,7 +678,7 @@ def primes_from(p, count):
 
 
 class TestFingerprintLanes:
-    """Up to ten trials share one pass, each trial modulo its own prime."""
+    """Up to six trials share one pass, each trial modulo its own prime."""
 
     @pytest.mark.parametrize("n, seed, trials", [(16, 9, 5), (100, 42, 10), (12, 3, 25)])
     def test_each_row_is_its_trial_run_alone(self, n, seed, trials):
@@ -683,12 +711,12 @@ class TestFingerprintLanes:
         monkeypatch.setattr(Program, "run", recording_run)
         return moduli
 
-    def test_a_pass_holds_at_most_ten_primes(self, monkeypatch):
+    def test_a_pass_holds_at_most_six_primes(self, monkeypatch):
         e, g = generate(12), build_sr(12)
         moduli = self.record_moduli(monkeypatch)
         assert check_fingerprint(e, g, trials=25, seed=3).passed
         p = primes_from(DEFAULT_PRIME, 25)
-        passes = [math.prod(p[:10]), math.prod(p[10:20]), math.prod(p[20:])]
+        passes = [math.prod(p[k : k + 5]) for k in range(0, 25, 5)]  # the fewest passes: five of 5
         assert moduli == [m for m in passes for _ in range(2)]  # the expression's, then the graph's
 
     def test_a_failure_at_trial_zero_ends_the_check(self, monkeypatch):
@@ -698,7 +726,7 @@ class TestFingerprintLanes:
         report = check_fingerprint(e, g, trials=25, seed=7, prime=17)
         assert report.witness["trial"] == 0
         assert report.detail["transcript"] == [report.witness]
-        assert moduli == [math.prod(primes_from(17, 10))] * 2  # no later pass is run
+        assert moduli == [math.prod(primes_from(17, 5))] * 2  # no later pass is run
 
     def test_a_trial_prime_past_the_exact_range_is_refused(self):
         # the largest prime is_prime certifies: the next lies past its bound
@@ -709,6 +737,70 @@ class TestFingerprintLanes:
         assert check_fingerprint(e, g, trials=1, prime=p).passed
         with pytest.raises(DomainError, match="cannot certify"):
             check_fingerprint(e, g, trials=2, prime=p)
+
+
+class TestCollectorPause:
+    """The passes that make no reference cycle run with the cyclic collector
+    off, and leave it as they found it."""
+
+    def test_the_collector_is_off_inside_and_restored_after(self):
+        seen = []
+        probe = _without_gc(lambda: seen.append(gc.isenabled()))
+        assert probe.__name__ == "<lambda>"
+        was = gc.isenabled()
+        try:
+            gc.enable()
+            probe()
+            assert gc.isenabled()
+            gc.disable()
+            probe()
+            assert not gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+
+    @staticmethod
+    def calls():
+        key = SubExprKey(basic(1), basic(6))
+        e, g = generate(6), build_sr(6)
+        return [
+            (vda.program, (6, key), None),
+            (vda.program, (0, key), InvalidSizeError),
+            (vda.expression, (6, key), None),
+            (expr.compile_program, (make_sum([e, lit("b1")]),), None),
+            (expr._fold, (compile_program(e), expr._COUNT), None),
+            (graph.build_sr, (6,), None),
+            (graph.build_sr, (0,), InvalidSizeError),
+            (graph.induced_subgraph, (g, upper(1), upper(4)), None),
+            (graph.induced_subgraph, (g, upper(2), upper(1)), EmptySubgraphError),
+            (oracle.check_fingerprint, (e, g), None),
+            (oracle.check_fingerprint, (e, g, 10, 42, 4), DomainError),
+            (oracle.check_exact, (e, g), None),
+            (oracle.check_exact, (e, g, 1), CapacityError),
+        ]
+
+    def test_no_paused_pass_leaves_cyclic_garbage(self):
+        for fn, args, error in self.calls():
+            if error is None:
+                gc.collect()
+                fn(*args)
+                assert gc.collect() == 0, fn.__name__
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_every_paused_pass_leaves_the_collector_as_it_found_it(self, enabled):
+        was = gc.isenabled()
+        try:
+            for fn, args, error in self.calls():
+                (gc.enable if enabled else gc.disable)()
+                if error is None:
+                    fn(*args)
+                else:
+                    with pytest.raises(error):
+                        fn(*args)
+                assert gc.isenabled() is enabled, fn.__name__
+                assert fn.__wrapped__.__name__ == fn.__name__  # paused by `_without_gc`
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestIsPrime:
