@@ -261,7 +261,12 @@ def iter_expansion(e: Expr | Program) -> Iterator[Monomial]:
                 merged.sort()
                 yield Monomial(tuple(merged))
 
-    return stream(program.root)
+    try:
+        yield from stream(program.root)
+    finally:
+        # `listed` and `stream` call each other through their closures, a
+        # reference cycle that would hold `memo` until the collector ran.
+        del listed, stream
 
 
 def expand(e: Expr | Program, limit: int = 10**6) -> list[Monomial]:
@@ -605,7 +610,10 @@ def _write_text(program: Program, write, separator: str = "*") -> None:
                 chunk.seek(0)
                 chunk.truncate()
 
-    walk(program.root)
+    try:
+        walk(program.root)
+    finally:
+        del walk  # it calls itself through its closure, a reference cycle
     write(chunk.getvalue())
 
 
@@ -646,7 +654,10 @@ def _write_json(program: Program, write, pad: str = "") -> None:
             chunk.seek(0)
             chunk.truncate()
 
-    walk(program.root, pad, "")
+    try:
+        walk(program.root, pad, "")
+    finally:
+        del walk  # it calls itself through its closure, a reference cycle
     write(chunk.getvalue())
 
 

@@ -14,6 +14,13 @@ contain exactly the vertices and edges lying on some directed path between the
 endpoints.  Edge labels keep their global indices inside subgraphs, so
 subexpressions compose without relabeling.
 
+A graph keeps one adjacency, each vertex's out-edges, beside its sorted
+edge list and its topological order, and every pass reads edges through
+it.  Path counts and path lengths push forward over the order, a
+path-induced subgraph sweeps the stretch of the order between its ends,
+path enumeration walks out-edges depth first, and `oracle.graph_program`
+reads the order backward.
+
 Graphs are immutable after construction and all operations here are pure
 functions; everything is safe to share across threads.  `_without_gc`
 pauses the cyclic garbage collector in the passes that cannot make a
@@ -270,6 +277,9 @@ class LabeledDigraph:
     the unique in-degree-0 vertex and the sink the unique out-degree-0 vertex,
     so every vertex lies on a source-to-sink path; labels are distinct).
     Vertices and edges are stored sorted, so all iteration is deterministic.
+    The one adjacency kept is each vertex's out-edges (`out_edges`); a pass
+    that would read in-edges runs over `topological_order` instead, each
+    vertex pushing its value along its out-edges.
     """
 
     def __init__(
@@ -279,75 +289,49 @@ class LabeledDigraph:
         source: Terminal,
         sink: Terminal,
     ) -> None:
-        self.vertices: tuple[Terminal, ...] = tuple(sorted(set(vertices)))
-        self.edges: tuple[tuple[Terminal, Terminal, EdgeLabel], ...] = tuple(
-            sorted(edges, key=lambda e: e[2])
-        )
-        self.source = source
-        self.sink = sink
-
-        vertex_set = set(self.vertices)
-        if source not in vertex_set or sink not in vertex_set:
-            raise ValueError("source and sink must be vertices of the graph")
-
-        labels = [label for _, _, label in self.edges]
-        if len(labels) != len(set(labels)):
-            raise ValueError("edge labels must be distinct")
+        self.vertices = tuple(sorted(set(vertices)))
+        self.edges = tuple(sorted(edges, key=itemgetter(2)))
+        self.source, self.sink = source, sink
 
         out: dict[Terminal, list[tuple[Terminal, EdgeLabel]]] = {v: [] for v in self.vertices}
-        inc: dict[Terminal, list[tuple[Terminal, EdgeLabel]]] = {v: [] for v in self.vertices}
+        if source not in out or sink not in out:
+            raise ValueError("source and sink must be vertices of the graph")
+
+        if len({label for _, _, label in self.edges}) != len(self.edges):
+            raise ValueError("edge labels must be distinct")
+
+        indegree = dict.fromkeys(self.vertices, 0)
         for tail, head, label in self.edges:
-            if tail not in vertex_set or head not in vertex_set:
+            if tail not in out or head not in out:
                 raise ValueError(f"edge {label} has an endpoint outside the vertex set")
             out[tail].append((head, label))
-            inc[head].append((tail, label))
+            indegree[head] += 1
         self._out = {v: tuple(pairs) for v, pairs in out.items()}
-        self._in = {v: tuple(pairs) for v, pairs in inc.items()}
 
-        self._topo = self._topological_order()
-        self._check_st_dag()
-
-    def _topological_order(self) -> tuple[Terminal, ...]:
-        indegree = {v: len(self._in[v]) for v in self.vertices}
-        ready = [v for v in self.vertices if indegree[v] == 0]
-        heapq.heapify(ready)
-        order: list[Terminal] = []
+        # Kahn's algorithm, always taking the least ready vertex, so the
+        # order is a function of the graph alone.  The sources are listed
+        # sorted, which is already a heap.
+        sources = [v for v in self.vertices if not indegree[v]]
+        ready, order = sources[:], []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
             for head, _ in self._out[v]:
                 indegree[head] -= 1
-                if indegree[head] == 0:
+                if not indegree[head]:
                     heapq.heappush(ready, head)
         if len(order) != len(self.vertices):
             raise ValueError("graph has a directed cycle")
-        return tuple(order)
+        self._topo = tuple(order)
 
-    def _check_st_dag(self) -> None:
-        sources = [v for v in self.vertices if not self._in[v]]
         sinks = [v for v in self.vertices if not self._out[v]]
-        if sources != [self.source]:
-            raise ValueError(f"expected a unique in-degree-0 vertex {self.source}, got {sources}")
-        if sinks != [self.sink]:
-            raise ValueError(f"expected a unique out-degree-0 vertex {self.sink}, got {sinks}")
+        if sources != [source]:
+            raise ValueError(f"expected a unique in-degree-0 vertex {source}, got {sources}")
+        if sinks != [sink]:
+            raise ValueError(f"expected a unique out-degree-0 vertex {sink}, got {sinks}")
         # So every vertex lies on a source-to-sink path: in a DAG, a walk back
         # along in-edges ends at a vertex without one, the source, and a walk
         # forward ends at the sink.
-
-    def _reach(
-        self,
-        start: Terminal,
-        adjacency: dict[Terminal, tuple[tuple[Terminal, EdgeLabel], ...]],
-    ) -> set[Terminal]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
 
     @property
     def topological_order(self) -> tuple[Terminal, ...]:
@@ -355,9 +339,6 @@ class LabeledDigraph:
 
     def out_edges(self, v: Terminal) -> tuple[tuple[Terminal, EdgeLabel], ...]:
         return self._out[v]
-
-    def in_edges(self, v: Terminal) -> tuple[tuple[Terminal, EdgeLabel], ...]:
-        return self._in[v]
 
     def labels(self) -> tuple[EdgeLabel, ...]:
         return tuple(label for _, _, label in self.edges)
@@ -428,32 +409,47 @@ def induced_subgraph(g: LabeledDigraph, src: Terminal, dst: Terminal) -> Labeled
     """The subgraph of everything lying on a directed src-to-dst path.
 
     In a DAG an edge (u, v) is on such a path exactly when u is reachable
-    from src and v reaches dst, so the subgraph is computed from one forward
-    and one backward reachability sweep.  Raises RangeError if an endpoint is
-    not a vertex of g and EmptySubgraphError if no path exists.
+    from src and v reaches dst.  Such vertices lie between src and dst in
+    topological order, and two sweeps of that stretch of the order, both
+    along out-edges, find them: a forward one marks what src reaches, and a
+    backward one keeps a marked vertex when an out-edge leads to dst or to
+    a vertex already kept.  The edges are those of g between kept vertices.
+    Raises RangeError if an endpoint is not a vertex of g and
+    EmptySubgraphError if no path exists.
     """
-    vertex_set = set(g.vertices)
-    if src not in vertex_set or dst not in vertex_set:
+    out, order = g._out, g.topological_order
+    if src not in out or dst not in out:
         raise RangeError(f"{src} or {dst} is not a vertex of {g!r}")
-    forward = g._reach(src, g._out)
-    backward = g._reach(dst, g._in)
-    kept = forward & backward
-    if not kept:
+    between = order[order.index(src) : order.index(dst)]  # empty when dst comes first
+    reached = {src}
+    for v in between:
+        if v in reached:
+            for head, _ in out[v]:
+                reached.add(head)
+    if dst not in reached:
         raise EmptySubgraphError(f"no directed path from {src} to {dst}")
-    edges = [
-        (tail, head, label)
-        for tail, head, label in g.edges
-        if tail in kept and head in kept
-    ]
+    kept = {dst}
+    for v in reversed(between):
+        if v in reached:
+            for head, _ in out[v]:
+                if head in kept:
+                    kept.add(v)
+                    break
+    edges = [edge for edge in g.edges if edge[0] in kept and edge[1] in kept]
     return LabeledDigraph(kept, edges, src, dst)
 
 
 def path_count(g: LabeledDigraph) -> int:
     """Number of distinct source-to-sink paths, by DP over topological order:
-    a vertex after the source sums the counts of its in-edges' tails."""
-    count = {g.source: 1}
-    for v in g.topological_order[1:]:  # the source comes first
-        count[v] = sum([count[u] for u, _ in g.in_edges(v)])
+    each vertex pushes its count along its out-edges, so a vertex's count is
+    complete when the order reaches it."""
+    out = g._out
+    count = dict.fromkeys(g.topological_order, 0)
+    count[g.source] = 1
+    for v in g.topological_order:
+        paths = count[v]
+        for head, _ in out[v]:
+            count[head] += paths
     return count[g.sink]
 
 
@@ -478,13 +474,20 @@ def sr_path_count(n: int, stop_above: int | None = None) -> int:
 
 
 def path_length_range(g: LabeledDigraph) -> tuple[int, int]:
-    """(shortest, longest) source-to-sink path length in edges."""
-    shortest = {g.source: 0}
-    longest = {g.source: 0}
-    for v in g.topological_order[1:]:  # the source comes first
-        tails = [u for u, _ in g.in_edges(v)]
-        shortest[v] = 1 + min(map(shortest.__getitem__, tails))
-        longest[v] = 1 + max(map(longest.__getitem__, tails))
+    """(shortest, longest) source-to-sink path length in edges, by DP over
+    topological order: each vertex pushes its lengths plus one along its
+    out-edges."""
+    out, order = g._out, g.topological_order
+    shortest = dict.fromkeys(order, len(order))  # longer than any path
+    longest = dict.fromkeys(order, 0)
+    shortest[g.source] = 0
+    for v in order:
+        low, high = shortest[v] + 1, longest[v] + 1
+        for head, _ in out[v]:
+            if low < shortest[head]:
+                shortest[head] = low
+            if high > longest[head]:
+                longest[head] = high
     return shortest[g.sink], longest[g.sink]
 
 

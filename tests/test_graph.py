@@ -1,6 +1,8 @@
 """Structural tests for square rhomboids and path-induced subgraphs."""
 
+import hashlib
 import operator
+import re
 
 import pytest
 
@@ -29,6 +31,7 @@ from srexpr import (
     upper,
 )
 from srexpr.graph import LabeledDigraph, sr_path_count
+from srexpr.oracle import graph_program
 
 OPERATORS = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
 
@@ -68,7 +71,8 @@ class TestBuildSr:
     def test_st_dag_property(self, n):
         # one source, one sink, every edge on some source-to-sink path
         g = build_sr(n)
-        no_in = [v for v in g.vertices if not g.in_edges(v)]
+        heads = {head for _, head, _ in g.edges}
+        no_in = [v for v in g.vertices if v not in heads]
         no_out = [v for v in g.vertices if not g.out_edges(v)]
         assert no_in == [g.source]
         assert no_out == [g.sink]
@@ -79,7 +83,7 @@ class TestBuildSr:
         backward = {g.sink}
         for v in reversed(g.topological_order):
             if v in backward:
-                backward.update(tail for tail, _ in g.in_edges(v))
+                backward.update(tail for tail, head, _ in g.edges if head == v)
         for tail, head, _ in g.edges:
             assert tail in forward and head in backward
 
@@ -154,6 +158,51 @@ class TestLabeledDigraph:
         with pytest.raises(ValueError, match="edge e1 has an endpoint outside the vertex set"):
             self.graph([basic(1), basic(2)], [self.B1_B2, (basic(1), upper(1), EdgeLabel("e", 1))])
 
+    # Graphs with two faults: the checks run in the order membership,
+    # distinct labels, endpoints, cycle, source, sink, and the first fault
+    # found is the one reported.
+    U1_L1 = (upper(1), lower(1), EdgeLabel("e", 1))
+    L1_U1 = (lower(1), upper(1), EdgeLabel("d", 1))
+
+    @pytest.mark.parametrize(
+        "vertices, edges, message",
+        [
+            pytest.param(
+                [basic(1), basic(2), upper(1), lower(1), lower(2)],
+                [B1_B2, U1_L1, L1_U1, (lower(2), basic(2), EdgeLabel("a", 1))],
+                "graph has a directed cycle",
+                id="cycle-and-second-source",
+            ),
+            pytest.param(
+                [basic(1), basic(2), upper(1)],
+                [B1_B2, (basic(1), upper(1), EdgeLabel("e", 1)), (basic(1), lower(1), EdgeLabel("d", 1))],
+                "edge d1 has an endpoint outside the vertex set",
+                id="second-sink-and-foreign-endpoint",
+            ),
+            pytest.param(
+                [basic(1), basic(2), upper(1), lower(1)],
+                [B1_B2, U1_L1, L1_U1, (basic(1), upper(1), EdgeLabel("b", 1))],
+                "edge labels must be distinct",
+                id="repeated-label-and-cycle",
+            ),
+            pytest.param(
+                [basic(1), upper(1)],
+                [B1_B2, (basic(1), upper(1), EdgeLabel("b", 1))],
+                "source and sink must be vertices",
+                id="foreign-sink-and-repeated-label",
+            ),
+            pytest.param(
+                [basic(1), basic(2), upper(1), lower(1)],
+                [B1_B2, (upper(1), basic(2), EdgeLabel("e", 2)), (basic(1), lower(1), EdgeLabel("d", 1))],
+                re.escape(f"expected a unique in-degree-0 vertex b1, got {[basic(1), upper(1)]}"),
+                id="second-source-and-second-sink",
+            ),
+        ],
+    )
+    def test_the_first_of_two_faults_is_reported(self, vertices, edges, message):
+        with pytest.raises(ValueError, match=message):
+            self.graph(vertices, edges)
+
 
 class TestInducedSubgraph:
     def test_single_leaf_of_size_three(self):
@@ -216,6 +265,47 @@ class TestInducedSubgraph:
                 assert path_count(sub) >= 1
                 checked += 1
         assert checked > 50
+
+
+class TestRecordedDigests:
+    """The topological order, the slot table and the DOT text of every
+    graph below, against a sha256 recorded before the graph kept only its
+    out-edges.  The order also fixes the table's label order, which is the
+    decision diagram's variable order."""
+
+    @staticmethod
+    def digest(graphs):
+        h = hashlib.sha256()
+        for g in graphs:
+            if g is None:  # no path between the pair
+                h.update(b"empty\n")
+                continue
+            p = graph_program(g)
+            h.update(" ".join(map(str, g.topological_order)).encode() + b"\n")
+            table = (list(map(str, p.labels)), p.is_product.hex(), p.children, p.root)
+            h.update(repr(table).encode() + b"\n")
+            h.update(to_dot(g).encode())
+        return h.hexdigest()
+
+    def test_square_rhomboids_of_sizes_one_to_64(self):
+        assert self.digest(build_sr(n) for n in range(1, 65)) == (
+            "5c8658c73118e403fb4f09d93ea65ddc1d22ef29fadd356ee15713f26c729e74"
+        )
+
+    def test_every_induced_subgraph_of_sr9(self):
+        g = build_sr(9)
+
+        def subgraphs():
+            for src in g.vertices:
+                for dst in g.vertices:
+                    try:
+                        yield induced_subgraph(g, src, dst)
+                    except EmptySubgraphError:
+                        yield None
+
+        assert self.digest(subgraphs()) == (
+            "6ad14ba76fd556e48f2d59b6f4a582ad361765b32be60502aef0bf0e89429786"
+        )
 
 
 class TestClassify:

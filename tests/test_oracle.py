@@ -780,11 +780,18 @@ class TestCollectorPause:
         ]
 
     def test_no_paused_pass_leaves_cyclic_garbage(self):
-        for fn, args, error in self.calls():
-            if error is None:
-                gc.collect()
-                fn(*args)
-                assert gc.collect() == 0, fn.__name__
+        # nor do the writers and the expansion stream, whose recursive
+        # closures would hold their output until a collection
+        def exhausted_expansion(e):
+            return list(expr.iter_expansion(e))
+
+        e = generate(6)
+        calls = [(fn, args) for fn, args, error in self.calls() if error is None]
+        calls += [(expr.to_text, (e,)), (expr.to_json_text, (e,)), (exhausted_expansion, (e,))]
+        for fn, args in calls:
+            gc.collect()
+            fn(*args)
+            assert gc.collect() == 0, fn.__name__
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     def test_every_paused_pass_leaves_the_collector_as_it_found_it(self, enabled):

@@ -30,13 +30,16 @@ from srexpr import (  # noqa: E402
 from srexpr.cli import main  # noqa: E402
 from srexpr.expr import Program, compile_program, to_expr  # noqa: E402
 from srexpr.graph import (  # noqa: E402
+    EmptySubgraphError,
     LabeledDigraph,
     OrderingError,
     Terminal,
     TerminalKind,
     _iter_path_labels,
     classify,
+    induced_subgraph,
     path_count,
+    path_length_range,
 )
 from srexpr.oracle import MAX_TRIALS, _MILLER_RABIN_LIMIT, _shape, graph_program  # noqa: E402
 from srexpr.vda import MAX_SIZE, SubExprKey, count_literals, expression  # noqa: E402
@@ -255,6 +258,35 @@ def test_graph_program_is_the_path_polynomial(g, rng):
 BUILT_SIZES = st.integers(-3, 24)
 # Sizes where the CLI refuses before it builds, or only counts.
 ANY_SIZES = BUILT_SIZES | st.integers(-(2**300), 2**300) | st.sampled_from([MAX_SIZE, MAX_SIZE + 1])
+
+
+def paths_between(g, u, v):
+    """Every u-to-v path of g as a list of edges, by a DFS over `g.edges`
+    alone."""
+    if u == v:
+        return [[]]
+    return [
+        [edge] + rest for edge in g.edges if edge[0] == u for rest in paths_between(g, edge[1], v)
+    ]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st_dags())
+def test_graph_passes_agree_with_path_enumeration(g):
+    lengths = [len(labels) for labels in _iter_path_labels(g)]
+    assert path_count(g) == len(lengths)
+    assert path_length_range(g) == (min(lengths), max(lengths))
+    for u in g.vertices:
+        for v in g.vertices:
+            paths = paths_between(g, u, v)
+            if not paths:
+                with pytest.raises(EmptySubgraphError):
+                    induced_subgraph(g, u, v)
+                continue
+            sub = induced_subgraph(g, u, v)
+            assert (sub.source, sub.sink) == (u, v)
+            assert set(sub.vertices) == {u} | {head for path in paths for _, head, _ in path}
+            assert set(sub.edges) == {edge for path in paths for edge in path}
 
 
 @st.composite
