@@ -9,7 +9,6 @@ literal-count recurrences, closed forms, and published comparison table.
 
 from .complexity import (
     ComplexityRow,
-    LEADING_TERM_COEFFICIENTS,
     REFERENCE_COMPARISON_TABLE,
     asymptotic_check,
     closed_form,
@@ -91,3 +90,11 @@ from .vda import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Made on first access, as in `complexity`, so that importing the package
+    # does not import `fractions`.
+    if name == "LEADING_TERM_COEFFICIENTS":
+        return complexity.LEADING_TERM_COEFFICIENTS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

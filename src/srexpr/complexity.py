@@ -18,15 +18,18 @@ that fail the path-set oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Iterable, NamedTuple
+from math import lcm
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import DomainError, IntegrityError, InvalidSizeError
 from .expr import literal_count, to_text
 from .graph import basic, build_sr, check_size, induced_subgraph, lower, upper
 from .oracle import check_exact
 from .vda import SubExprKey, _plan, base_expression, reference_trap_base_variant
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Published base values for the recurrence system.
 REFERENCE_SR_BASES = {1: 0, 2: 5}
@@ -48,19 +51,36 @@ REFERENCE_COMPARISON_TABLE: dict[int, tuple[int, int, int, int]] = {
     10: (709, 665, 641, 439),
 }
 
-# Leading n**log2(6) coefficients of the published closed forms.
-LEADING_TERM_COEFFICIENTS = {
-    "FDA": Fraction(79, 45),
-    "CDA": Fraction(227, 135),
-    "IFDA": Fraction(212, 135),
-    "1-VDA": Fraction(154, 135),
+# The published closed forms' coefficients, as (numerator, denominator) int
+# pairs: kept as ints so that no run pays for importing `fractions` (and with
+# it `decimal`), which only `LEADING_TERM_COEFFICIENTS` and
+# `asymptotic_check` hand out.
+_COEFFICIENTS = {
+    # The leading n**log2(6) coefficient of each algorithm.
+    "FDA": (79, 45),
+    "CDA": (227, 135),
+    "IFDA": (212, 135),
+    "1-VDA": (154, 135),
+    # 1-VDA's n**log2(3) coefficient per family, and its constant term.
+    "sr": (1, 27),
+    "single_leaf": (19, 27),
+    "dipterous": (58, 27),
+    "constant": (-2, 5),
 }
+_ALGORITHMS = ("FDA", "CDA", "IFDA", "1-VDA")
+_FAMILIES = ("sr", "single_leaf", "dipterous")
 
-_CLOSED_FORM_MIDDLE = {
-    "sr": Fraction(1, 27),
-    "single_leaf": Fraction(19, 27),
-    "dipterous": Fraction(58, 27),
-}
+
+def __getattr__(name: str):
+    # `LEADING_TERM_COEFFICIENTS`, the leading coefficients as Fractions, is
+    # made on first access, and only then is `fractions` imported.
+    if name == "LEADING_TERM_COEFFICIENTS":
+        from fractions import Fraction
+
+        value = {algorithm: Fraction(*_COEFFICIENTS[algorithm]) for algorithm in _ALGORITHMS}
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ComplexityRow(NamedTuple):
@@ -173,19 +193,28 @@ def _power_of_two_exponent(n: int, minimum: int) -> int:
 def closed_form(n: int) -> tuple[int, int, int]:
     """Exact closed-form counts (sr, single_leaf, dipterous) at n = 2**k.
 
-    Evaluated with rational arithmetic via n**log2(6) = 6**k and
-    n**log2(3) = 3**k; a non-integer result means a transcription bug and
-    raises IntegrityError.  A size `check_size` refuses raises
-    InvalidSizeError; any other n that is not 2**k >= 4 raises DomainError.
+    Evaluated in integers over the coefficients' common denominator, via
+    n**log2(6) = 6**k and n**log2(3) = 3**k; a non-integer result means a
+    transcription bug and raises IntegrityError.  A size `check_size`
+    refuses raises InvalidSizeError; any other n that is not 2**k >= 4
+    raises DomainError.
     """
     k = _power_of_two_exponent(n, 4)
-    leading = LEADING_TERM_COEFFICIENTS["1-VDA"] * 6**k
+    denominator = lcm(*[q for _, q in _COEFFICIENTS.values()])
+
+    def scaled(name: str, power: int) -> int:  # the term times the denominator
+        p, q = _COEFFICIENTS[name]
+        return p * (denominator // q) * power
+
+    rest = scaled("1-VDA", 6**k) + scaled("constant", 1)
     results = []
-    for middle in _CLOSED_FORM_MIDDLE.values():
-        value = leading + middle * 3**k - Fraction(2, 5)
-        if value.denominator != 1:
-            raise IntegrityError(f"closed form at n={n} is not an integer: {value}")
-        results.append(int(value))
+    for family in _FAMILIES:
+        value, remainder = divmod(rest + scaled(family, 3**k), denominator)
+        if remainder:
+            raise IntegrityError(
+                f"closed form at n={n} is not an integer: {value} + {remainder}/{denominator}"
+            )
+        results.append(value)
     return tuple(results)
 
 
@@ -195,6 +224,8 @@ def asymptotic_check(samples: Iterable[int]) -> list[Fraction]:
     The ratios approach 154/135 from above for n >= 8; callers check the
     convergence, this just computes the exact values.
     """
+    from fractions import Fraction  # only here; every other run would pay the import
+
     ratios = []
     for n in samples:
         k = _power_of_two_exponent(n, 4)

@@ -45,14 +45,16 @@ loop over modular ints for speed; `iter_expansion` streams monomials,
 which a fold of whole values cannot; and the two text writers,
 `_write_text` (`to_text`, `gen` text and the `expression` field of `gen
 --output json`) and `_write_json` (`to_json_text` and the `ast` field),
-write while walking the tree written out, in buffer-sized chunks.
-`_write_text` renders once and keeps only nodes of at most
-`_TEXT_CACHE_CHARS` (4,096) characters, so a run's memory is those small
-texts plus the tree's depth, not the output: rendered by a fold, the large
-texts and their copies made the peak RSS grow with the text and depend on
-how the heap happened to be laid out.  Every pass takes an Expr or a
-Program alike.  A hand-built empty Sum or Prod, which `make_sum` /
-`make_product` never make, folds as zero or as the unit; its text is "".
+write while walking the tree written out, in buffer-sized chunks.  Each
+renders once and keeps only the nodes of at most `_TEXT_CACHE_CHARS` or
+`_JSON_CACHE_CHARS` (4,096) characters, and walks only the larger ones, so
+a run's memory is those small texts plus the tree's depth, not the output:
+rendered by a fold, the large texts and their copies made the peak RSS grow
+with the text and depend on how the heap happened to be laid out, and a
+walk of every node written out made `gen 256 --output json` take two and
+a half times as long.  Every pass takes an Expr or a Program alike.  A
+hand-built empty Sum or Prod, which `make_sum` / `make_product` never make,
+folds as zero or as the unit; its text is "".
 """
 
 from __future__ import annotations
@@ -625,37 +627,76 @@ def to_text(e: Expr | Program, product_separator: str = "*") -> str:
     return "".join(chunks)
 
 
+#: `_write_json` renders once and keeps the JSON text, at indent 0, of every
+#: node of at most this many characters, and streams larger nodes' text.
+_JSON_CACHE_CHARS = 4096
+
+
 def _write_json(program: Program, write, pad: str = "") -> None:
     """Write `json.dumps(to_json(program), indent=2)` through `write`, every
     line after the first indented by `pad` more, in chunks of about
-    `io.DEFAULT_BUFFER_SIZE` characters.  A walk of the tree written out: no
-    subtree is held as one string, so memory is the depth of the tree and a
-    chunk, not the text."""
-    labels, is_product, children = program.labels, program.is_product, program.children
+    `io.DEFAULT_BUFFER_SIZE` characters.  One pass in slot order folds each
+    slot's length and newline count at indent 0 and renders, from its
+    children's texts, each node of at most `_JSON_CACHE_CHARS` characters,
+    and each label's node.  A node indented by `pad` is its indent-0 text
+    with `pad` after every newline, so its length there is `length +
+    newlines * len(pad)`: an occurrence of at most `_JSON_CACHE_CHARS`
+    characters is written from the cache, and a larger one by walking its
+    children.  So memory is the small nodes' texts and the depth of the
+    tree, not the text, and a write holds at most a buffer's worth and one
+    small node."""
+    bound = _JSON_CACHE_CHARS
+    is_product, children = program.is_product, program.children
+    leaves = [f'{{\n  "lit": "{label}"\n}}' for label in reversed(program.labels)]
+    texts = [""] * len(children) + leaves + ['{\n  "one": true\n}']
+    lengths = [0] * len(children) + list(map(len, texts[len(children) :]))
+    newlines = [0] * len(children) + [2] * (len(leaves) + 1)
+    heads = ('{\n  "sum": [', '{\n  "prod": [')
+    for k, slots in enumerate(children):
+        head = heads[is_product[k]]
+        if not slots:  # a hand-built empty sum or product: "[]"
+            text = texts[k] = head + "]\n}"
+            lengths[k], newlines[k] = len(text), 2
+            continue
+        # Each item is on its own line, indented 4 more than this node.
+        lines = sum(map(newlines.__getitem__, slots))
+        lengths[k] = length = (
+            len(head) + sum(map(lengths.__getitem__, slots)) + 4 * lines + 6 * len(slots) + 5
+        )
+        newlines[k] = lines + len(slots) + 3
+        if length <= bound:
+            items = ",\n    ".join([texts[s].replace("\n", "\n    ") for s in slots])
+            texts[k] = f"{head}\n    {items}\n  ]\n}}"
+    root = program.root
+    if root < 0 or lengths[root] + newlines[root] * len(pad) <= bound:
+        write(texts[root].replace("\n", "\n" + pad))
+        return
     chunk = io.StringIO()
     put = chunk.write
 
     def walk(slot: int, pad: str, lead: str) -> None:
-        # `lead` is the text, not yet written, that goes just before this node.
-        if slot < 0:
-            body = '"one": true' if slot == -1 else f'"lit": "{labels[-2 - slot]}"'
-            put(f"{lead}{{\n{pad}  {body}\n{pad}}}")
-            return
-        lead += f'{{\n{pad}  "prod": [' if is_product[slot] else f'{{\n{pad}  "sum": ['
+        # The node at `slot`, too large to write from the cache at `pad`;
+        # `lead` is the text, not yet written, that goes just before it.
+        lead += heads[is_product[slot]].replace("\n", "\n" + pad)
         inner = pad + "    "
-        separator = "\n" + inner
+        indent, width = "\n" + inner, len(inner)
+        separator = indent
         for child in children[slot]:
-            walk(child, inner, lead + separator)
-            lead, separator = "", ",\n" + inner
+            if child < 0 or lengths[child] + newlines[child] * width <= bound:
+                put(lead + separator)
+                put(texts[child].replace("\n", indent))
+            else:
+                walk(child, inner, lead + separator)
+            lead, separator = "", "," + indent
+            if chunk.tell() >= io.DEFAULT_BUFFER_SIZE:
+                write(chunk.getvalue())
+                chunk.seek(0)
+                chunk.truncate()
         # A lead still unwritten means the node had no items: "[]".
         put(f"{lead}]\n{pad}}}" if lead else f"\n{pad}  ]\n{pad}}}")
-        if chunk.tell() >= io.DEFAULT_BUFFER_SIZE:
-            write(chunk.getvalue())
-            chunk.seek(0)
-            chunk.truncate()
 
     try:
-        walk(program.root, pad, "")
+        walk(root, pad, "")
     finally:
         del walk  # it calls itself through its closure, a reference cycle
     write(chunk.getvalue())

@@ -399,7 +399,7 @@ class TestImports:
     """A command loads only the modules it runs.  Each runs in a fresh
     interpreter, because pytest itself imports all of these."""
 
-    HEAVY = ("dataclasses", "inspect", "json", "hashlib")
+    HEAVY = ("dataclasses", "inspect", "json", "hashlib", "fractions", "decimal")
 
     @staticmethod
     def loaded(*argv):
@@ -421,8 +421,14 @@ class TestImports:
 
     @pytest.mark.parametrize(
         "argv",
-        [("gen", "30"), ("gen", "5", "--count-only"), ("verify", "6")],
-        ids=["gen", "gen-count-only", "verify-exact"],
+        [
+            ("gen", "30"),
+            ("gen", "5", "--count-only"),
+            ("verify", "6"),
+            ("closed-form", "--k", "5"),
+            ("table",),
+        ],
+        ids=["gen", "gen-count-only", "verify-exact", "closed-form", "table"],
     )
     def test_text_commands_load_none_of_them(self, argv):
         modules = self.loaded(*argv)
@@ -431,7 +437,7 @@ class TestImports:
     def test_fingerprint_loads_only_hashlib(self):
         modules = self.loaded("verify", "6", "--mode", "fingerprint")
         assert "hashlib" in modules
-        assert modules.isdisjoint({"dataclasses", "inspect", "json"})
+        assert modules.isdisjoint(set(self.HEAVY) - {"hashlib"})
 
     def test_json_output_loads_json(self):
         assert "json" in self.loaded("gen", "5", "--output", "json")

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import srexpr
 from srexpr import (
     ComplexityRow,
     DomainError,
+    IntegrityError,
     InvalidSizeError,
     LEADING_TERM_COEFFICIENTS,
     REFERENCE_COMPARISON_TABLE,
@@ -174,6 +176,12 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             closed_form(n)
 
+    def test_a_wrong_coefficient_is_not_an_integer(self, monkeypatch):
+        # A middle coefficient of 2/27 in place of 1/27 adds 1/3 at n = 4.
+        monkeypatch.setitem(srexpr.complexity._COEFFICIENTS, "sr", (2, 27))
+        with pytest.raises(IntegrityError, match="^closed form at n=4 is not an integer: 41 "):
+            closed_form(4)
+
 
 class TestAsymptotics:
     def test_ratios_approach_leading_coefficient(self):
@@ -206,6 +214,14 @@ class TestReferenceData:
         assert LEADING_TERM_COEFFICIENTS["CDA"] == Fraction(227, 135)
         assert LEADING_TERM_COEFFICIENTS["IFDA"] == Fraction(212, 135)
         assert LEADING_TERM_COEFFICIENTS["1-VDA"] == Fraction(154, 135)
+
+    def test_leading_coefficients_are_one_value_in_the_package_and_complexity(self):
+        # Both resolve the name on first access; the values are checked above.
+        assert srexpr.complexity.LEADING_TERM_COEFFICIENTS is LEADING_TERM_COEFFICIENTS
+        assert srexpr.LEADING_TERM_COEFFICIENTS is LEADING_TERM_COEFFICIENTS
+        for module in (srexpr, srexpr.complexity):
+            with pytest.raises(AttributeError, match="has no attribute 'LEADING_TERMS'"):
+                module.LEADING_TERMS
 
     def test_size_two_bases_match_base_expressions(self):
         trap = literal_count(base_expression(SubExprKey(upper(1), upper(3))))

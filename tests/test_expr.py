@@ -8,6 +8,7 @@ import tracemalloc
 
 import pytest
 
+import srexpr.expr as expr_module
 from srexpr import (
     CapacityError,
     DEFAULT_PRIME,
@@ -330,11 +331,13 @@ def emitter_cases():
         src, dst = map(Terminal.parse, pair.split(","))
         cases.append((pair, expression(12, SubExprKey(src, dst))))
     shared = make_product([lit("e1"), lit("e2")])
+    deep = Sum((lit("a1"), make_product([lit("b1"), make_sum([lit("c1"), shared])])))
     cases += [
         ("sum in sum", Sum((Sum((lit("a1"), lit("a2"))), lit("b1")))),
         ("prod with unit", Prod((ONE, lit("b1"), Sum((lit("c1"), ONE))))),
         ("prod in prod", Prod((Prod((lit("a1"), lit("a2"))), Sum((lit("b1"), shared))))),
         ("repeated child", Prod((shared, shared, Sum((shared, shared))))),
+        ("shared at two depths", Prod((deep, Sum((lit("d1"), Prod((lit("d2"), deep))))))),
         ("empty nodes", Sum((Sum(()), Prod(()), Prod((Sum(()),))))),
         ("one node", Prod((lit("e2"), lit("d3")))),
         ("bare literal", lit("d7")),
@@ -344,6 +347,15 @@ def emitter_cases():
 
 
 EMITTER_CASES = emitter_cases()
+SMALL_EMITTER_CASES = [(name, e) for name, e in EMITTER_CASES if literal_count(e) < 1000]
+_DUMPED: dict[str, str] = {}
+
+
+def dumped(name, e):
+    """`json.dumps(to_json(e), indent=2)` of an emitter case, made once."""
+    if name not in _DUMPED:
+        _DUMPED[name] = json.dumps(to_json(e), indent=2)
+    return _DUMPED[name]
 
 
 def test_emitter_cases_cover_every_family():
@@ -364,6 +376,40 @@ class TestEmitters:
     @pytest.mark.parametrize("name, e", EMITTER_CASES, ids=[name for name, _ in EMITTER_CASES])
     def test_json_text_matches_json_dumps(self, name, e):
         assert to_json_text(e) == json.dumps(to_json(e), indent=2)
+
+    @pytest.mark.parametrize("bound", [0, 150, 10**9], ids=["walk-all", "mixed", "cache-all"])
+    @pytest.mark.parametrize("name, e", EMITTER_CASES, ids=[name for name, _ in EMITTER_CASES])
+    def test_json_text_at_any_cache_bound(self, name, e, bound, monkeypatch):
+        # A bound of 0 walks every sum and product, a huge one writes the
+        # root from the cache, and 150 caches some occurrences of a node and
+        # walks others, as its indentation grows.
+        monkeypatch.setattr(expr_module, "_JSON_CACHE_CHARS", bound)
+        expected = dumped(name, e)
+        assert to_json_text(e) == expected
+        chunks = []
+        _write_json(compile_program(e), chunks.append, "  ")
+        assert "".join(chunks) == expected.replace("\n", "\n  ")
+
+    @pytest.mark.parametrize("pad", ["", "  ", " " * 10])
+    @pytest.mark.parametrize(
+        "name, e", SMALL_EMITTER_CASES, ids=[name for name, _ in SMALL_EMITTER_CASES]
+    )
+    def test_json_root_is_cached_up_to_its_length(self, name, e, pad, monkeypatch):
+        # The folded length and newline count of the root are exact: at a
+        # bound of its indented length the root is one write from the cache,
+        # and one character less walks it, a chunk per item at a buffer of 1.
+        text = dumped(name, e).replace("\n", "\n" + pad)
+        program = compile_program(e)
+        monkeypatch.setattr(io, "DEFAULT_BUFFER_SIZE", 1)
+        monkeypatch.setattr(expr_module, "_JSON_CACHE_CHARS", len(text))
+        chunks = []
+        _write_json(program, chunks.append, pad)
+        assert chunks == [text]
+        if program.root >= 0:
+            monkeypatch.setattr(expr_module, "_JSON_CACHE_CHARS", len(text) - 1)
+            chunks = []
+            _write_json(program, chunks.append, pad)
+            assert "".join(chunks) == text and len(chunks) > 1
 
     def test_json_is_written_in_buffer_sized_chunks(self):
         # SR(64) renders 17.5 MB of JSON; no write holds a large subtree's text.
@@ -407,6 +453,26 @@ class TestEmitters:
             tracemalloc.stop()
         assert written > 63_000_000
         assert peak < written / 4
+
+    def test_json_is_written_without_holding_it(self):
+        # SR(128) renders 125 MB of JSON at the CLI's indent; writing it to a
+        # sink that drops each chunk holds the cached small nodes' texts and
+        # the tree's depth, not the text.
+        built = program(128, SubExprKey(basic(1), basic(128)))
+        written = 0
+
+        def discard(chunk):
+            nonlocal written
+            written += len(chunk)
+
+        tracemalloc.start()
+        try:
+            _write_json(built, discard, "  ")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written > 125_000_000
+        assert peak < written / 20
 
     def test_text_of_a_leaf_root_beside_unreached_slots(self):
         program = Program((EdgeLabel("b", 1),), b"\x01", ((-2, -2),), -2)
