@@ -45,16 +45,21 @@ loop over modular ints for speed; `iter_expansion` streams monomials,
 which a fold of whole values cannot; and the two text writers,
 `_write_text` (`to_text`, `gen` text and the `expression` field of `gen
 --output json`) and `_write_json` (`to_json_text` and the `ast` field),
-write while walking the tree written out, in buffer-sized chunks.  Each
-renders once and keeps only the nodes of at most `_TEXT_CACHE_CHARS` or
-`_JSON_CACHE_CHARS` (4,096) characters, and walks only the larger ones, so
-a run's memory is those small texts plus the tree's depth, not the output:
-rendered by a fold, the large texts and their copies made the peak RSS grow
-with the text and depend on how the heap happened to be laid out, and a
-walk of every node written out made `gen 256 --output json` take two and
-a half times as long.  Every pass takes an Expr or a Program alike.  A
-hand-built empty Sum or Prod, which `make_sum` / `make_product` never make,
-folds as zero or as the unit; its text is "".
+write while walking the tree written out, in buffer-sized chunks.  Both
+hold one contract: each folds every node's written length, renders once and
+keeps only the nodes of at most `_CACHE_CHARS` (4,096) characters, and
+walks only the larger sums and products that have items, since a leaf and
+a hand-built empty node are always written whole from the cache.  The
+folded length is the length written (a JSON node's at the indent of each
+occurrence), so a node is walked exactly where what it writes is over the
+bound.  So a run's memory is those small texts plus the tree's depth, not
+the output: rendered by a fold, the large texts and their copies made the
+peak RSS grow with the text and depend on how the heap happened to be laid
+out, and a walk of every node written out made `gen 256 --output json` take
+two and a half times as long.  Every pass takes an Expr or a Program alike.
+A hand-built empty Sum or Prod, which `make_sum` / `make_product` never
+make, folds as zero or as the unit; its text is "", and "()" for a sum used
+as a factor.
 """
 
 from __future__ import annotations
@@ -365,9 +370,9 @@ class ProgramBuilder:
     keys and `_intern` one key, which `compile_program` and `from_json`
     call directly.  Label slots are kept in one dict per letter, by index:
     `lit_column` maps a column of one letter's indices through it in one
-    call, and only a label not seen before takes the loop in `_new_lit`,
-    which numbers labels in the order they are first met; the scalar `lit`
-    reads the same dict.  `finish` returns the builder's lists."""
+    call, and only a label not seen before takes a loop through the scalar
+    `lit`, which numbers labels in the order they are first met.  `finish`
+    returns the builder's lists."""
 
     __slots__ = ("_label_slots", "_labels", "_interned", "is_product", "children")
     one = -1
@@ -382,30 +387,25 @@ class ProgramBuilder:
         self.children: list[tuple[int, ...]] = []
 
     def lit(self, letter: str, index: int) -> int:
-        slot = self._label_slots[letter].get(index)
-        return self._new_lit(letter, index) if slot is None else slot
-
-    def lit_column(self, letter: str, indices: list[int]) -> list[int]:
-        """The slot of the label (letter, index) for each of `indices` in
-        turn: one lookup in the letter's slots maps the column, and only the
-        labels not seen before take a loop."""
-        column = list(map(self._label_slots[letter].get, indices))
-        if None in column:
-            for k, slot in enumerate(column):
-                if slot is None:
-                    column[k] = self._new_lit(letter, indices[k])
-        return column
-
-    def _new_lit(self, letter: str, index: int) -> int:
         """The slot of (letter, index), a new one if the label is new:
         label slots count down from -2 in the order labels are first met."""
         slots = self._label_slots[letter]
         slot = slots.get(index)
         if slot is None:
-            label = EdgeLabel(letter, index)
             slot = slots[index] = -2 - len(self._labels)
-            self._labels.append(label)
+            self._labels.append(EdgeLabel(letter, index))
         return slot
+
+    def lit_column(self, letter: str, indices: list[int]) -> list[int]:
+        """The slot of the label (letter, index) for each of `indices` in
+        turn: one lookup in the letter's slots maps the column, and only the
+        labels not seen before take a loop through `lit`."""
+        column = list(map(self._label_slots[letter].get, indices))
+        if None in column:
+            for k, slot in enumerate(column):
+                if slot is None:
+                    column[k] = self.lit(letter, indices[k])
+        return column
 
     def sum(self, addends: Iterable[int | tuple]) -> int:
         columns = [[slot] for slot in addends]
@@ -556,18 +556,19 @@ def _fold(program: Program, h):
     return values[program.root]
 
 
-#: `_write_text` renders once and keeps the text of every node of at most
-#: this many characters, and streams larger nodes' text.
-_TEXT_CACHE_CHARS = 4096
+#: Both writers render once and keep the text of every node of at most this
+#: many characters, and walk only the larger ones.
+_CACHE_CHARS = 4096
 
 
 def _write_text(program: Program, write, separator: str = "*") -> None:
     """Write `to_text(program, separator)` through `write`, in chunks of about
     `io.DEFAULT_BUFFER_SIZE` characters.  One pass in slot order folds each
     slot's text length and renders, from its children's texts, each node of
-    at most `_TEXT_CACHE_CHARS` characters; a larger node is written by
-    walking its children.  So memory is the small nodes' texts and the depth
-    of the tree, not the text."""
+    at most `_CACHE_CHARS` characters; a larger node is written by walking
+    its children.  So memory is the small nodes' texts and the depth of the
+    tree, not the text, and a write holds at most a buffer's worth and one
+    small node."""
     labels, is_product, children = program.labels, program.is_product, program.children
     texts = [""] * len(children) + [str(label) for label in reversed(labels)] + ["1"]
     lengths = [0] * len(children) + [len(text) for text in texts[len(children) :]]
@@ -575,25 +576,28 @@ def _write_text(program: Program, write, separator: str = "*") -> None:
     # parentheses around it.
     factor_lengths = lengths[:]
     for k, slots in enumerate(children):
-        if not slots:  # a hand-built empty sum or product: ""
+        if not slots:  # a hand-built empty sum or product: "", or "()" for a sum factor
+            factor_lengths[k] = 0 if is_product[k] else 2
             continue
         if is_product[k]:
             length = sum(map(factor_lengths.__getitem__, slots)) + len(separator) * (len(slots) - 1)
             lengths[k] = factor_lengths[k] = length
-            if length <= _TEXT_CACHE_CHARS:
+            if length <= _CACHE_CHARS:
                 texts[k] = separator.join(
                     [f"({texts[s]})" if s >= 0 and not is_product[s] else texts[s] for s in slots]
                 )
         else:
             lengths[k] = length = sum(map(lengths.__getitem__, slots)) + len(slots) - 1
             factor_lengths[k] = length + 2
-            if length <= _TEXT_CACHE_CHARS:
+            if length <= _CACHE_CHARS:
                 texts[k] = "+".join(map(texts.__getitem__, slots))
     chunk = io.StringIO()
     put = chunk.write
 
     def walk(slot: int) -> None:
-        if lengths[slot] <= _TEXT_CACHE_CHARS:
+        # An empty node's length is 0, within any bound, so only sums and
+        # products with items are walked.
+        if slot < 0 or lengths[slot] <= _CACHE_CHARS:
             put(texts[slot])
             return
         product = is_product[slot]
@@ -627,25 +631,20 @@ def to_text(e: Expr | Program, product_separator: str = "*") -> str:
     return "".join(chunks)
 
 
-#: `_write_json` renders once and keeps the JSON text, at indent 0, of every
-#: node of at most this many characters, and streams larger nodes' text.
-_JSON_CACHE_CHARS = 4096
-
-
 def _write_json(program: Program, write, pad: str = "") -> None:
     """Write `json.dumps(to_json(program), indent=2)` through `write`, every
     line after the first indented by `pad` more, in chunks of about
     `io.DEFAULT_BUFFER_SIZE` characters.  One pass in slot order folds each
     slot's length and newline count at indent 0 and renders, from its
-    children's texts, each node of at most `_JSON_CACHE_CHARS` characters,
-    and each label's node.  A node indented by `pad` is its indent-0 text
-    with `pad` after every newline, so its length there is `length +
-    newlines * len(pad)`: an occurrence of at most `_JSON_CACHE_CHARS`
-    characters is written from the cache, and a larger one by walking its
-    children.  So memory is the small nodes' texts and the depth of the
-    tree, not the text, and a write holds at most a buffer's worth and one
-    small node."""
-    bound = _JSON_CACHE_CHARS
+    children's texts, each node of at most `_CACHE_CHARS` characters, and
+    each label's and each empty node's.  A node indented by `pad` is its
+    indent-0 text with `pad` after every newline, so its length there is
+    `length + newlines * len(pad)`: an occurrence of at most `_CACHE_CHARS`
+    characters, a leaf or an empty node is written from the cache, and a
+    larger one by walking its children.  So memory is the small nodes'
+    texts and the depth of the tree, not the text, and a write holds at
+    most a buffer's worth and one small node."""
+    bound = _CACHE_CHARS
     is_product, children = program.is_product, program.children
     leaves = [f'{{\n  "lit": "{label}"\n}}' for label in reversed(program.labels)]
     texts = [""] * len(children) + leaves + ['{\n  "one": true\n}']
@@ -668,35 +667,34 @@ def _write_json(program: Program, write, pad: str = "") -> None:
             items = ",\n    ".join([texts[s].replace("\n", "\n    ") for s in slots])
             texts[k] = f"{head}\n    {items}\n  ]\n}}"
     root = program.root
-    if root < 0 or lengths[root] + newlines[root] * len(pad) <= bound:
+    if root < 0 or not children[root] or lengths[root] + newlines[root] * len(pad) <= bound:
         write(texts[root].replace("\n", "\n" + pad))
         return
     chunk = io.StringIO()
     put = chunk.write
 
-    def walk(slot: int, pad: str, lead: str) -> None:
-        # The node at `slot`, too large to write from the cache at `pad`;
-        # `lead` is the text, not yet written, that goes just before it.
-        lead += heads[is_product[slot]].replace("\n", "\n" + pad)
+    def walk(slot: int, pad: str) -> None:
+        # The node at `slot`, a sum or product with items too large to write
+        # from the cache at `pad`.
+        put(heads[is_product[slot]].replace("\n", "\n" + pad))
         inner = pad + "    "
         indent, width = "\n" + inner, len(inner)
         separator = indent
         for child in children[slot]:
-            if child < 0 or lengths[child] + newlines[child] * width <= bound:
-                put(lead + separator)
+            put(separator)
+            if child < 0 or not children[child] or lengths[child] + newlines[child] * width <= bound:
                 put(texts[child].replace("\n", indent))
             else:
-                walk(child, inner, lead + separator)
-            lead, separator = "", "," + indent
+                walk(child, inner)
+            separator = "," + indent
             if chunk.tell() >= io.DEFAULT_BUFFER_SIZE:
                 write(chunk.getvalue())
                 chunk.seek(0)
                 chunk.truncate()
-        # A lead still unwritten means the node had no items: "[]".
-        put(f"{lead}]\n{pad}}}" if lead else f"\n{pad}  ]\n{pad}}}")
+        put(f"\n{pad}  ]\n{pad}}}")
 
     try:
-        walk(root, pad, "")
+        walk(root, pad)
     finally:
         del walk  # it calls itself through its closure, a reference cycle
     write(chunk.getvalue())

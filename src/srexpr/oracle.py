@@ -212,9 +212,8 @@ def dp_eval(
 class VerificationReport:
     """Outcome of one oracle run; a failure always carries a witness.
 
-    Reports are equal when all their fields are."""
-
-    _FIELDS = ("mode", "result", "trials", "seed", "prime", "witness", "detail")
+    Its fields are its attributes, in the order `__init__` sets them:
+    reports are equal when all their fields are, and the repr lists them."""
 
     def __init__(
         self,
@@ -234,16 +233,13 @@ class VerificationReport:
         self.witness = witness
         self.detail = {} if detail is None else detail
 
-    def _astuple(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._FIELDS])
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return vars(self) == vars(other)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
         return f"VerificationReport({fields})"
 
     @property

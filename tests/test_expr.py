@@ -41,7 +41,6 @@ from srexpr import (
 from srexpr.expr import (
     Program,
     ProgramBuilder,
-    _TEXT_CACHE_CHARS,
     _write_json,
     _write_text,
     compile_program,
@@ -342,20 +341,38 @@ def emitter_cases():
         ("one node", Prod((lit("e2"), lit("d3")))),
         ("bare literal", lit("d7")),
         ("bare unit", ONE),
+        ("bare empty sum", Sum(())),
     ]
     return cases
 
 
 EMITTER_CASES = emitter_cases()
 SMALL_EMITTER_CASES = [(name, e) for name, e in EMITTER_CASES if literal_count(e) < 1000]
-_DUMPED: dict[str, str] = {}
+_EXPECTED: dict[tuple, str] = {}
 
 
-def dumped(name, e):
-    """`json.dumps(to_json(e), indent=2)` of an emitter case, made once."""
-    if name not in _DUMPED:
-        _DUMPED[name] = json.dumps(to_json(e), indent=2)
-    return _DUMPED[name]
+def expected(name, e, write, option):
+    """What `write(compile_program(e), sink, option)` must write for an
+    emitter case, made once: `reference_text(e, option)` for the text
+    writer, and `json.dumps(to_json(e), indent=2)` with every line after the
+    first indented by `option` more for the JSON writer."""
+    key = (name, write, option)
+    if key not in _EXPECTED:
+        if write is _write_text:
+            _EXPECTED[key] = reference_text(e, option)
+        else:
+            _EXPECTED[key] = json.dumps(to_json(e), indent=2).replace("\n", "\n" + option)
+    return _EXPECTED[key]
+
+
+# Each writer with the options it is held to: the text writer with both
+# product separators, the JSON writer at indent 0 and at the CLI's indent.
+WRITERS = [
+    pytest.param(_write_text, "*", id="text"),
+    pytest.param(_write_text, "", id="text-juxtaposed"),
+    pytest.param(_write_json, "", id="json"),
+    pytest.param(_write_json, "  ", id="json-indented"),
+]
 
 
 def test_emitter_cases_cover_every_family():
@@ -377,109 +394,92 @@ class TestEmitters:
     def test_json_text_matches_json_dumps(self, name, e):
         assert to_json_text(e) == json.dumps(to_json(e), indent=2)
 
-    @pytest.mark.parametrize("bound", [0, 150, 10**9], ids=["walk-all", "mixed", "cache-all"])
+    @pytest.mark.parametrize(
+        "bound", [0, 1, 150, 10**9], ids=["walk-all", "walk-all-1", "mixed", "cache-all"]
+    )
+    @pytest.mark.parametrize("write, option", WRITERS)
     @pytest.mark.parametrize("name, e", EMITTER_CASES, ids=[name for name, _ in EMITTER_CASES])
-    def test_json_text_at_any_cache_bound(self, name, e, bound, monkeypatch):
-        # A bound of 0 walks every sum and product, a huge one writes the
-        # root from the cache, and 150 caches some occurrences of a node and
-        # walks others, as its indentation grows.
-        monkeypatch.setattr(expr_module, "_JSON_CACHE_CHARS", bound)
-        expected = dumped(name, e)
-        assert to_json_text(e) == expected
+    def test_writers_at_any_cache_bound(self, name, e, write, option, bound, monkeypatch):
+        # A bound of 0 or 1 walks every sum and product with items, a huge
+        # one writes the root from the cache, and 150 caches some nodes, and
+        # some occurrences of a JSON node as its indentation grows, and walks
+        # the others.
+        monkeypatch.setattr(expr_module, "_CACHE_CHARS", bound)
         chunks = []
-        _write_json(compile_program(e), chunks.append, "  ")
-        assert "".join(chunks) == expected.replace("\n", "\n  ")
+        write(compile_program(e), chunks.append, option)
+        assert "".join(chunks) == expected(name, e, write, option)
 
-    @pytest.mark.parametrize("pad", ["", "  ", " " * 10])
+    @pytest.mark.parametrize(
+        "write, option", [*WRITERS, pytest.param(_write_json, " " * 10, id="json-deep")]
+    )
     @pytest.mark.parametrize(
         "name, e", SMALL_EMITTER_CASES, ids=[name for name, _ in SMALL_EMITTER_CASES]
     )
-    def test_json_root_is_cached_up_to_its_length(self, name, e, pad, monkeypatch):
-        # The folded length and newline count of the root are exact: at a
-        # bound of its indented length the root is one write from the cache,
-        # and one character less walks it, a chunk per item at a buffer of 1.
-        text = dumped(name, e).replace("\n", "\n" + pad)
+    def test_root_is_cached_up_to_its_length(self, name, e, write, option, monkeypatch):
+        # The folded length (and a JSON node's newline count) of the root is
+        # exact: at a bound of its written length the root is one write from
+        # the cache, and one character less walks it, a chunk per item at a
+        # buffer of 1, unless it is a leaf or an empty node, which is always
+        # written whole.
+        text = expected(name, e, write, option)
         program = compile_program(e)
         monkeypatch.setattr(io, "DEFAULT_BUFFER_SIZE", 1)
-        monkeypatch.setattr(expr_module, "_JSON_CACHE_CHARS", len(text))
+        monkeypatch.setattr(expr_module, "_CACHE_CHARS", len(text))
         chunks = []
-        _write_json(program, chunks.append, pad)
+        write(program, chunks.append, option)
         assert chunks == [text]
-        if program.root >= 0:
-            monkeypatch.setattr(expr_module, "_JSON_CACHE_CHARS", len(text) - 1)
+        if program.root >= 0 and program.children[program.root]:
+            monkeypatch.setattr(expr_module, "_CACHE_CHARS", len(text) - 1)
             chunks = []
-            _write_json(program, chunks.append, pad)
+            write(program, chunks.append, option)
             assert "".join(chunks) == text and len(chunks) > 1
 
-    def test_json_is_written_in_buffer_sized_chunks(self):
-        # SR(64) renders 17.5 MB of JSON; no write holds a large subtree's text.
+    @pytest.mark.parametrize("write, option", WRITERS)
+    def test_writers_write_in_buffer_sized_chunks(self, write, option):
+        # SR(64) renders 247 K characters of text and 17.5 MB of JSON; a
+        # chunk holds less than a buffer's worth and then one item, a cached
+        # node and the few characters around it, never a large subtree.
         built = program(64, SubExprKey(basic(1), basic(64)))
         chunks = []
-        _write_json(built, chunks.append)
-        assert "".join(chunks) == to_json_text(built)
+        write(built, chunks.append, option)
+        assert "".join(chunks) == expected("generate(64)", generate(64), write, option)
+        assert len(chunks) > 1
         assert max(map(len, chunks)) < 2 * io.DEFAULT_BUFFER_SIZE
 
-    def test_json_text_of_a_leaf_root_beside_unreached_slots(self):
+    @pytest.mark.parametrize(
+        "write, option, n, size, share",
+        [
+            pytest.param(_write_text, "*", 512, 63_000_000, 4, id="text"),
+            pytest.param(_write_json, "  ", 128, 125_000_000, 20, id="json-indented"),
+        ],
+    )
+    def test_writers_write_without_holding_the_output(self, write, option, n, size, share):
+        # SR(512) renders 63 MB of text and SR(128) 125 MB of JSON at the
+        # CLI's indent; writing either to a sink that drops each chunk holds
+        # the cached small nodes' texts and the tree's depth, not the output.
+        built = program(n, SubExprKey(basic(1), basic(n)))
+        written = 0
+
+        def discard(chunk):
+            nonlocal written
+            written += len(chunk)
+
+        tracemalloc.start()
+        try:
+            write(built, discard, option)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written > size
+        assert peak < written / share
+
+    @pytest.mark.parametrize("write, option", WRITERS)
+    def test_leaf_root_beside_unreached_slots(self, write, option):
         # A hand-built table may hold slots that its root does not reach.
         program = Program((EdgeLabel("b", 1),), b"\x01", ((-2, -2),), -2)
-        assert to_json_text(program) == json.dumps({"lit": "b1"}, indent=2)
-
-    @pytest.mark.parametrize("separator", ["*", ""])
-    def test_text_is_written_in_bounded_chunks(self, separator):
-        # SR(64) renders 247 K characters; a chunk holds at most a buffer's
-        # worth, then one cached node's text and the parentheses around it.
-        built = program(64, SubExprKey(basic(1), basic(64)))
         chunks = []
-        _write_text(built, chunks.append, separator)
-        assert "".join(chunks) == reference_text(generate(64), separator)
-        assert len(chunks) > 1
-        assert max(map(len, chunks)) <= 2 * io.DEFAULT_BUFFER_SIZE + _TEXT_CACHE_CHARS
-
-    def test_text_is_written_without_holding_it(self):
-        # SR(512) renders 63 MB of text; writing it to a sink that drops each
-        # chunk holds the cached small texts and the tree's depth, not the text.
-        built = program(512, SubExprKey(basic(1), basic(512)))
-        written = 0
-
-        def discard(chunk):
-            nonlocal written
-            written += len(chunk)
-
-        tracemalloc.start()
-        try:
-            _write_text(built, discard)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert written > 63_000_000
-        assert peak < written / 4
-
-    def test_json_is_written_without_holding_it(self):
-        # SR(128) renders 125 MB of JSON at the CLI's indent; writing it to a
-        # sink that drops each chunk holds the cached small nodes' texts and
-        # the tree's depth, not the text.
-        built = program(128, SubExprKey(basic(1), basic(128)))
-        written = 0
-
-        def discard(chunk):
-            nonlocal written
-            written += len(chunk)
-
-        tracemalloc.start()
-        try:
-            _write_json(built, discard, "  ")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert written > 125_000_000
-        assert peak < written / 20
-
-    def test_text_of_a_leaf_root_beside_unreached_slots(self):
-        program = Program((EdgeLabel("b", 1),), b"\x01", ((-2, -2),), -2)
-        chunks = []
-        _write_text(program, chunks.append)
-        assert chunks == ["b1"]
-        assert to_text(program) == "b1"
+        write(program, chunks.append, option)
+        assert chunks == [expected("b1", lit("b1"), write, option)]
 
 
 class TestJson:
